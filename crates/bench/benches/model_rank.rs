@@ -42,9 +42,16 @@ fn bench_model_rank(c: &mut Criterion) {
     let mut group = c.benchmark_group("model_rank");
     group.sample_size(10);
 
-    let summary = WorkloadSummary::from_spec(WorkloadSpec::Cyclic { pages: 64, reps: 10 }, 1, 4);
-    let cfg = ModelConfig::new(64, 2, ArbitrationKind::Priority, ReplacementKind::Lru)
-        .far_latency(4);
+    let summary = WorkloadSummary::from_spec(
+        WorkloadSpec::Cyclic {
+            pages: 64,
+            reps: 10,
+        },
+        1,
+        4,
+    );
+    let cfg =
+        ModelConfig::new(64, 2, ArbitrationKind::Priority, ReplacementKind::Lru).far_latency(4);
     group.throughput(Throughput::Elements(1));
     group.bench_function("predict_one", |b| {
         b.iter(|| black_box(predict(black_box(&summary), black_box(&cfg))))
@@ -52,7 +59,10 @@ fn bench_model_rank(c: &mut Criterion) {
 
     let spec = ExploreSpec::parse(GRID).expect("bench grid parses");
     let cells = u64::try_from(spec.total_cells()).expect("bench grid fits u64");
-    assert_eq!(cells, 102_400, "bench grid drifted from its documented size");
+    assert_eq!(
+        cells, 102_400,
+        "bench grid drifted from its documented size"
+    );
     let caps = RankCaps {
         top: 20,
         uncertain: 32,

@@ -12,10 +12,6 @@
 //! - `--check <baseline.json>`: after measuring, gate against a baseline —
 //!   both the ticks/sec gate and the `setup_seconds` gate (the latter at
 //!   `--setup-tolerance`, skipped for baselines predating schema 3)
-//! - `--lockstep-gate`: enforce the self-relative lockstep-speedup gate
-//!   (`check_lockstep_speedup` at the 1.5x floor) — exit 1 on a `Fail`
-//!   verdict. Without the flag the verdict is still computed, embedded in
-//!   the document and printed, but advisory
 //! - `--tolerance <frac>`: allowed ticks/sec drop for `--check` (default 0.25)
 //! - `--setup-tolerance <frac>`: allowed per-cell setup-time growth for
 //!   `--check` (default 0.30)
@@ -36,16 +32,15 @@
 //! can gate directly on this binary.
 
 use hbm_bench::harness::{
-    calibration_score, cells, check_lockstep_speedup, check_regression, check_setup_regression,
-    group_ticks_per_sec, lockstep_grid_comparison, measure, parse_calibration, render_json,
-    sweep_grid_comparison, BenchScale, LockstepGridComparison, LockstepVerdict,
-    SweepGridComparison, LOCKSTEP_MIN_SPEEDUP,
+    calibration_score, cells, check_regression, check_setup_regression, group_ticks_per_sec,
+    measure, parse_calibration, render_json, sweep_grid_comparison, BenchScale,
+    SweepGridComparison,
 };
 
 fn usage() -> ! {
     eprintln!(
         "usage: bench_harness [--out FILE] [--scale small|medium|both] \
-         [--check BASELINE.json] [--lockstep-gate] [--tolerance FRAC] \
+         [--check BASELINE.json] [--tolerance FRAC] \
          [--setup-tolerance FRAC] [--pre-pr PRE.json] [--min-wall SECS] [--passes N]"
     );
     std::process::exit(1);
@@ -62,7 +57,6 @@ fn main() {
     let mut setup_tolerance = 0.30f64;
     let mut min_wall = 0.2f64;
     let mut passes = 3usize;
-    let mut lockstep_gate = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -71,7 +65,6 @@ fn main() {
             "--out" => out_path = val(&mut args),
             "--scale" => scale_arg = val(&mut args),
             "--check" => check_path = Some(val(&mut args)),
-            "--lockstep-gate" => lockstep_gate = true,
             "--pre-pr" => pre_pr_path = Some(val(&mut args)),
             "--tolerance" => tolerance = val(&mut args).parse().unwrap_or_else(|_| usage()),
             "--setup-tolerance" => {
@@ -185,99 +178,17 @@ fn main() {
         })
         .collect();
 
-    // The lockstep tentpole measurement: the same grid run scalar (the PR
-    // 4 shared path), cell-major (the PR 6 reference executor), and
-    // phase-major (the production executor), all sequential. A checksum
-    // divergence here is a correctness bug, not noise, and fails the run
-    // outright — with the triage report locating the first divergent
-    // (cell, tick, phase).
-    let lockstep_grids: Vec<LockstepGridComparison> = scales
-        .iter()
-        .map(|&s| {
-            eprintln!("lockstep-grid comparison ({})...", s.name());
-            let g = lockstep_grid_comparison(s);
-            eprintln!(
-                "lockstep-grid {}: scalar {:.3}s, cell-major {:.3}s ({:.2}x), \
-                 phase-major {:.3}s ({:.2}x) over {} batches, checksums {}",
-                g.scale,
-                g.scalar_wall_seconds,
-                g.cell_major_wall_seconds,
-                g.cell_major_speedup,
-                g.phase_major_wall_seconds,
-                g.phase_major_speedup,
-                g.batches,
-                if g.checksum_match { "match" } else { "DIVERGE" },
-            );
-            g
-        })
-        .collect();
-
     let scale_names = scales
         .iter()
         .map(|s| s.name())
         .collect::<Vec<_>>()
         .join("+");
-    let json = render_json(
-        &scale_names,
-        calibration,
-        &results,
-        pre_pr,
-        &sweep_grids,
-        &lockstep_grids,
-    );
+    let json = render_json(&scale_names, calibration, &results, pre_pr, &sweep_grids);
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     eprintln!(
         "wrote {out_path}  (fig3 aggregate: {:.0} ticks/s)",
         group_ticks_per_sec(&results, "fig3")
     );
-
-    if lockstep_grids.iter().any(|g| !g.checksum_match) {
-        // Divergence triage (satellite of the phase-major tentpole): dump
-        // the first divergent (cell, tick, phase) with both engines'
-        // state instead of just exiting 1.
-        for g in lockstep_grids.iter().filter(|g| !g.checksum_match) {
-            match &g.divergence {
-                Some(report) => eprintln!("lockstep divergence triage ({}):\n{report}", g.scale),
-                None => eprintln!(
-                    "lockstep divergence triage ({}): no divergent batch localized — \
-                     signatures differ but event streams match",
-                    g.scale
-                ),
-            }
-        }
-        eprintln!("lockstep gate FAIL: batched trajectories diverged from scalar");
-        std::process::exit(1);
-    }
-
-    // The self-relative speedup gate: phase-major must beat scalar by
-    // >1.5x on the judged grid, self-skipping when the measurement cannot
-    // be honest. The verdict is always embedded in the document; the exit
-    // code only bites under --lockstep-gate.
-    let verdict = check_lockstep_speedup(&lockstep_grids, LOCKSTEP_MIN_SPEEDUP);
-    match &verdict {
-        LockstepVerdict::Pass {
-            scale,
-            speedup,
-            scalar_wall_seconds,
-        } => eprintln!(
-            "lockstep speedup gate PASS: {scale} phase-major {speedup:.2}x vs scalar \
-             over {scalar_wall_seconds:.3}s (floor {LOCKSTEP_MIN_SPEEDUP}x)"
-        ),
-        LockstepVerdict::Fail(line) => eprintln!(
-            "lockstep speedup gate {}: {line}",
-            if lockstep_gate {
-                "FAIL"
-            } else {
-                "fail (advisory)"
-            }
-        ),
-        LockstepVerdict::Skipped(reason) => {
-            eprintln!("lockstep speedup gate SKIPPED: {reason}")
-        }
-    }
-    if lockstep_gate && matches!(verdict, LockstepVerdict::Fail(_)) {
-        std::process::exit(1);
-    }
 
     if let Some(base_path) = check_path {
         let baseline = std::fs::read_to_string(&base_path)

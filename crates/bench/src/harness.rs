@@ -26,13 +26,8 @@
 //! calibration scores, so a faster or slower CI runner does not read as an
 //! engine change.
 
-use hbm_core::{
-    first_divergence, ArbitrationKind, BatchCell, BatchEngine, BatchScratch, Engine, EngineScratch,
-    NoopObserver, SimBuilder, Workload,
-};
-use hbm_experiments::common::{
-    run_batch_flat, run_cell, run_cell_flat, CellBudget, ScratchPool, SimSettings, TracePool,
-};
+use hbm_core::{ArbitrationKind, Engine, NoopObserver, SimBuilder, Workload};
+use hbm_experiments::common::{run_cell, run_cell_flat, ScratchPool, TracePool};
 use hbm_traces::adversarial::{cyclic_workload, figure3_hbm_slots};
 use hbm_traces::{SortAlgo, TraceOptions, WorkloadSpec};
 use std::time::Instant;
@@ -473,315 +468,6 @@ pub fn sweep_grid_comparison(scale: BenchScale) -> SweepGridComparison {
     }
 }
 
-/// Outcome of one scalar-vs-batched lockstep comparison (the phase-major
-/// tentpole's headline measurement): the same frozen grid as
-/// [`sweep_grid_comparison`] run three ways. Every pass is sequential and
-/// single-threaded so the ratios isolate per-cell executor throughput:
-/// through the `hbm_par` fan-out the scalar side would split into `cells`
-/// tasks but the batched side only `batches`, and on a multi-core host
-/// that packing asymmetry biases the ratio against batching.
-///
-/// 1. **scalar** — one [`Engine`] per cell over shared flats with one
-///    recycled scratch (the PR 4 sweep path batching replaces);
-/// 2. **cell-major** — each thread count's cells columnized into one
-///    lockstep [`BatchEngine`] batch (FIFO and Priority per HBM size,
-///    `2 × |mults|` cells wide), driven by the chunked cell-major
-///    reference executor (the PR 6 executor);
-/// 3. **phase-major** — the same batches through the production
-///    phase-major executor (`BatchEngine::run`, what `run_batch_flat`
-///    and the serve path dispatch to).
-///
-/// All three must produce bit-identical trajectories (`checksum_match`) —
-/// the differential suite proves it per cell; this records it on the
-/// pinned perf grid. On a mismatch, [`first_divergence`] localizes the
-/// first divergent (cell, tick, phase) into `divergence` so the failure
-/// is actionable rather than a bare exit code.
-pub struct LockstepGridComparison {
-    /// Scale name the grid was built for.
-    pub scale: &'static str,
-    /// Number of (p, k, policy) simulation cells in the grid.
-    pub cells: usize,
-    /// Number of lockstep batches each batched pass ran (one per p).
-    pub batches: usize,
-    /// `std::thread::available_parallelism()` at measurement time.
-    /// Recorded for transparency; the passes themselves are sequential,
-    /// so core count cancels in the same-machine ratios.
-    pub host_cores: usize,
-    /// Wall seconds for the sequential scalar pass.
-    pub scalar_wall_seconds: f64,
-    /// Wall seconds for the cell-major reference-executor pass.
-    pub cell_major_wall_seconds: f64,
-    /// Wall seconds for the phase-major production-executor pass.
-    pub phase_major_wall_seconds: f64,
-    /// `scalar_wall_seconds / cell_major_wall_seconds`.
-    pub cell_major_speedup: f64,
-    /// `scalar_wall_seconds / phase_major_wall_seconds` — the headline
-    /// batched-vs-scalar ratio [`check_lockstep_speedup`] judges.
-    pub phase_major_speedup: f64,
-    /// Whether all three passes produced identical (makespan ^ hits)
-    /// checksums in grid order — false means a batched executor changed
-    /// simulation results, a correctness bug that invalidates the timing.
-    pub checksum_match: bool,
-    /// On checksum mismatch: the [`first_divergence`] triage report for
-    /// the first divergent batch (first divergent cell, tick, phase, and
-    /// both engines' state dumps), or a note that the observer event
-    /// streams matched and only derived metrics differ.
-    pub divergence: Option<String>,
-}
-
-/// Runs the three-way scalar / cell-major / phase-major lockstep
-/// comparison for one scale. The grid shape is frozen and identical to
-/// [`sweep_grid_comparison`]'s: SpGEMM under contention across a thread
-/// sweep × HBM-size multipliers × both policies, seed 42. Flats are
-/// pre-memoized and both code paths warmed before any pass, so the
-/// ratios measure engine execution, not flattening or first-touch
-/// allocation.
-pub fn lockstep_grid_comparison(scale: BenchScale) -> LockstepGridComparison {
-    let (n, ps, mults) = match scale {
-        BenchScale::Small => (80usize, vec![1usize, 2, 4, 8, 16], vec![1usize, 2, 5]),
-        BenchScale::Medium => (150, vec![4usize, 8, 16, 32, 64], vec![1usize, 2, 3, 5]),
-    };
-    let seed = 42u64;
-    let spec = WorkloadSpec::SpGemm { n, density: 0.10 };
-    let max_p = *ps.iter().max().expect("non-empty thread sweep");
-    let pool = TracePool::generate(spec, max_p, seed, TraceOptions::default());
-    let ws = pool.working_set().max(1);
-    let grid: Vec<(usize, usize, ArbitrationKind)> = ps
-        .iter()
-        .flat_map(|&p| {
-            mults.iter().flat_map(move |&m| {
-                [ArbitrationKind::Fifo, ArbitrationKind::Priority]
-                    .into_iter()
-                    .map(move |arb| (p, (m * ws).max(16), arb))
-            })
-        })
-        .collect();
-    // Per-batch settings: independent of p (every batch sweeps the same
-    // HBM sizes and policies), in the same order the grid enumerates its
-    // cells within one p — so pass signatures compare positionally.
-    let settings: Vec<SimSettings> = mults
-        .iter()
-        .flat_map(|&m| {
-            let k = (m * ws).max(16);
-            [
-                SimSettings::new(k, 1, ArbitrationKind::Fifo, seed),
-                SimSettings::new(k, 1, ArbitrationKind::Priority, seed),
-            ]
-        })
-        .collect();
-    let width = settings.len();
-    let checksum = |sigs: &[u64]| {
-        sigs.iter()
-            .fold(0u64, |sum, &sig| sum.wrapping_mul(31).wrapping_add(sig))
-    };
-
-    // Pre-memoize every flat and warm both code paths (scalar and batch
-    // construction), so no pass pays flattening or cold-allocator cost.
-    for &p in &ps {
-        let _ = pool.flat(p);
-    }
-    let (wp, wk, warb) = grid[0];
-    std::hint::black_box(run_cell_flat(
-        &pool.flat(wp),
-        wk,
-        1,
-        warb,
-        seed,
-        &mut Default::default(),
-    ));
-    std::hint::black_box(run_batch_flat(
-        &pool.flat(wp),
-        &settings[..2.min(width)],
-        &mut BatchScratch::default(),
-    ));
-
-    // Scalar pass: one engine per cell over the shared flats.
-    let mut scratch = EngineScratch::default();
-    let t0 = Instant::now();
-    let scalar_sigs: Vec<u64> = grid
-        .iter()
-        .map(|&(p, k, arb)| {
-            let r = run_cell_flat(&pool.flat(p), k, 1, arb, seed, &mut scratch);
-            r.makespan ^ r.hits
-        })
-        .collect();
-    let scalar_wall = t0.elapsed().as_secs_f64().max(1e-9);
-
-    // Cell-major pass: each p's cells columnized into one lockstep batch,
-    // run by the chunked reference executor.
-    let cells_for_batch: Vec<BatchCell> = settings
-        .iter()
-        .map(|s| s.to_batch_cell(CellBudget::UNLIMITED))
-        .collect();
-    let mut batch_scratch = BatchScratch::default();
-    let t1 = Instant::now();
-    let cell_major_sigs: Vec<u64> = ps
-        .iter()
-        .flat_map(|&p| {
-            let reports =
-                BatchEngine::try_with_scratch(pool.flat(p), &cells_for_batch, &mut batch_scratch)
-                    .expect("bench grid configs are valid")
-                    .run_quiet_cell_major_reusing(&mut batch_scratch);
-            reports
-                .iter()
-                .map(|r| r.makespan ^ r.hits)
-                .collect::<Vec<u64>>()
-        })
-        .collect();
-    let cell_major_wall = t1.elapsed().as_secs_f64().max(1e-9);
-
-    // Phase-major pass: the same batches through the production executor.
-    let t2 = Instant::now();
-    let phase_major_sigs: Vec<u64> = ps
-        .iter()
-        .flat_map(|&p| {
-            run_batch_flat(&pool.flat(p), &settings, &mut batch_scratch)
-                .iter()
-                .map(|r| r.makespan ^ r.hits)
-                .collect::<Vec<u64>>()
-        })
-        .collect();
-    let phase_major_wall = t2.elapsed().as_secs_f64().max(1e-9);
-
-    let scalar_sum = checksum(&scalar_sigs);
-    let checksum_match =
-        scalar_sum == checksum(&cell_major_sigs) && scalar_sum == checksum(&phase_major_sigs);
-    let mut divergence = None;
-    if !checksum_match {
-        // Triage: find the first batch whose per-cell signatures differ
-        // from the scalar pass and localize the first divergent
-        // (cell, tick, phase) with full state dumps.
-        for (pi, &p) in ps.iter().enumerate() {
-            let s = &scalar_sigs[pi * width..(pi + 1) * width];
-            if s != &cell_major_sigs[pi * width..(pi + 1) * width]
-                || s != &phase_major_sigs[pi * width..(pi + 1) * width]
-            {
-                divergence = Some(
-                    first_divergence(&pool.flat(p), &cells_for_batch)
-                        .map(|r| r.to_string())
-                        .unwrap_or_else(|| {
-                            format!(
-                                "batch p={p}: signatures diverge but observer event streams \
-                                 match — derived metrics only"
-                            )
-                        }),
-                );
-                break;
-            }
-        }
-    }
-
-    LockstepGridComparison {
-        scale: scale.name(),
-        cells: grid.len(),
-        batches: ps.len(),
-        host_cores: std::thread::available_parallelism().map_or(1, |c| c.get()),
-        scalar_wall_seconds: scalar_wall,
-        cell_major_wall_seconds: cell_major_wall,
-        phase_major_wall_seconds: phase_major_wall,
-        cell_major_speedup: scalar_wall / cell_major_wall,
-        phase_major_speedup: scalar_wall / phase_major_wall,
-        checksum_match,
-        divergence,
-    }
-}
-
-/// Speedup floor for [`check_lockstep_speedup`]: the production batched
-/// executor must beat the scalar sweep path by more than this ratio on
-/// the judged grid.
-pub const LOCKSTEP_MIN_SPEEDUP: f64 = 1.5;
-
-/// Noise floor for the lockstep gate: a scalar pass under 50 ms is
-/// timer/turbo-noise-dominated and judging a ratio on it would flake.
-const LOCKSTEP_NOISE_FLOOR_SECONDS: f64 = 0.05;
-
-/// Outcome of the self-relative lockstep-speedup gate.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LockstepVerdict {
-    /// The phase-major executor cleared the required ratio on the judged
-    /// grid.
-    Pass {
-        /// Scale name of the judged grid.
-        scale: String,
-        /// Measured `scalar_wall / phase_major_wall`.
-        speedup: f64,
-        /// The judged grid's scalar wall seconds (the timing signal the
-        /// ratio rests on).
-        scalar_wall_seconds: f64,
-    },
-    /// The ratio (or trajectory identity) failed; carries the
-    /// human-readable failure line.
-    Fail(String),
-    /// The measurement cannot support an honest judgement; carries the
-    /// reason. Two conditions trigger this: batches averaging fewer than
-    /// two cells (single-cell batches take the scalar fallback, so there
-    /// is no lockstep execution to measure) and a scalar pass below the
-    /// noise floor. `host_cores` is recorded in the document and echoed
-    /// in verdict lines but does **not** trigger a skip: unlike
-    /// `check_scaling`'s parallel shard measurement, both lockstep
-    /// passes are sequential and single-threaded, so core count cancels
-    /// in the ratio.
-    Skipped(String),
-}
-
-/// The self-relative lockstep-speedup gate over one run's grids: on the
-/// longest-running grid measured (the one with the most timing signal),
-/// the phase-major batched pass must beat the scalar pass by more than
-/// `min_ratio`. Both passes come from the same sequential run on the
-/// same machine, so no baseline or calibration is involved. Divergent
-/// checksums on *any* grid fail outright — a wrong-answer executor has
-/// no valid timing to judge.
-pub fn check_lockstep_speedup(grids: &[LockstepGridComparison], min_ratio: f64) -> LockstepVerdict {
-    if grids.is_empty() {
-        return LockstepVerdict::Skipped("no lockstep grids were measured".into());
-    }
-    if let Some(bad) = grids.iter().find(|g| !g.checksum_match) {
-        return LockstepVerdict::Fail(format!(
-            "LOCKSTEP DIVERGENCE {}: batched trajectories differ from scalar; timing is invalid",
-            bad.scale
-        ));
-    }
-    let judged = grids
-        .iter()
-        .max_by(|a, b| a.scalar_wall_seconds.total_cmp(&b.scalar_wall_seconds))
-        .expect("grids is non-empty");
-    let width = judged.cells as f64 / judged.batches.max(1) as f64;
-    if width < 2.0 {
-        return LockstepVerdict::Skipped(format!(
-            "'{}' batches average {width:.1} cells; single-cell batches take the scalar \
-             fallback, so there is no lockstep execution to judge",
-            judged.scale
-        ));
-    }
-    if judged.scalar_wall_seconds < LOCKSTEP_NOISE_FLOOR_SECONDS {
-        return LockstepVerdict::Skipped(format!(
-            "'{}' scalar pass finished in {:.1} ms, under the {:.0} ms noise floor; the ratio \
-             would be timer noise",
-            judged.scale,
-            judged.scalar_wall_seconds * 1e3,
-            LOCKSTEP_NOISE_FLOOR_SECONDS * 1e3
-        ));
-    }
-    if judged.phase_major_speedup > min_ratio {
-        LockstepVerdict::Pass {
-            scale: judged.scale.to_string(),
-            speedup: judged.phase_major_speedup,
-            scalar_wall_seconds: judged.scalar_wall_seconds,
-        }
-    } else {
-        LockstepVerdict::Fail(format!(
-            "LOCKSTEP SPEEDUP {}: phase-major sustained {:.2}x vs scalar (required > \
-             {:.2}x; {} cells over {} batches, {} host core(s))",
-            judged.scale,
-            judged.phase_major_speedup,
-            min_ratio,
-            judged.cells,
-            judged.batches,
-            judged.host_cores
-        ))
-    }
-}
-
 /// A fixed synthetic CPU score (iterations/second of a pure integer loop),
 /// engine-independent, used to normalize ticks/sec across machines. The
 /// loop body is frozen: changing it invalidates checked-in baselines.
@@ -841,54 +527,29 @@ fn json_f6(x: f64) -> String {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal. Triage dumps
-/// carry newlines and quotes; the line-oriented cell parser stays safe
-/// because escaped quotes (`\"`) never match its `"key": ` patterns.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders the full benchmark document (schema 5). `pre_pr` optionally
+/// Renders the full benchmark document (schema 6). `pre_pr` optionally
 /// carries the pre-optimization `(fig3_ticks_per_sec, calibration_score)`
 /// pair measured on the same machine, so the emitted JSON records the
 /// speedup the PR delivered on the adversarial sweep; `sweep_grids`
-/// carries the owned-vs-shared comparisons and `lockstep_grids` the
-/// three-way scalar / cell-major / phase-major lockstep comparisons (one
-/// per scale each).
+/// carries the owned-vs-shared comparisons (one per scale).
 ///
-/// Schema 5 re-shapes `lockstep_grid` into the three-way comparison
-/// (`cell_major_*` and `phase_major_*` columns, `host_cores`, an optional
-/// `divergence` triage report), switches per-cell `wall_seconds` to
-/// microsecond precision (sub-millisecond cells used to flatten to
-/// `0.000`), and adds the `lockstep_gate` verdict object computed by
-/// [`check_lockstep_speedup`] at [`LOCKSTEP_MIN_SPEEDUP`]. Schema 4 added
-/// the top-level `lockstep_grid` section; schema 3 added per-cell
-/// `setup_seconds`, `rss_before_bytes` and `peak_rss_delta_bytes` plus
-/// the top-level `sweep_grid` section. Older documents still parse — the
-/// gates simply skip data their baselines lack.
+/// Schema 6 drops the batch-engine comparison section and its speedup
+/// gate verdict, along with the batch engine they measured. Schema 5 switched per-cell
+/// `wall_seconds` to microsecond precision (sub-millisecond cells used to
+/// flatten to `0.000`); schema 3 added per-cell `setup_seconds`,
+/// `rss_before_bytes` and `peak_rss_delta_bytes` plus the top-level
+/// `sweep_grid` section. Older documents still parse — the gates simply
+/// skip data their baselines lack.
 pub fn render_json(
     scale_names: &str,
     calibration: f64,
     results: &[CellResult],
     pre_pr: Option<(f64, f64)>,
     sweep_grids: &[SweepGridComparison],
-    lockstep_grids: &[LockstepGridComparison],
 ) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str("  \"schema_version\": 5,\n");
+    out.push_str("  \"schema_version\": 6,\n");
     out.push_str(
         "  \"command\": \"cargo run --release -p hbm-bench --bin bench_harness -- --out BENCH_9.json\",\n",
     );
@@ -937,49 +598,6 @@ pub fn render_json(
         ));
     }
     out.push_str("  ],\n");
-    out.push_str("  \"lockstep_grid\": [\n");
-    for (i, g) in lockstep_grids.iter().enumerate() {
-        let comma = if i + 1 == lockstep_grids.len() {
-            ""
-        } else {
-            ","
-        };
-        let divergence = g.divergence.as_ref().map_or(String::new(), |d| {
-            format!(", \"divergence\": \"{}\"", json_escape(d))
-        });
-        out.push_str(&format!(
-            "    {{\"scale\": \"{}\", \"cells\": {}, \"batches\": {}, \"host_cores\": {}, \"scalar_wall_seconds\": {}, \"cell_major_wall_seconds\": {}, \"phase_major_wall_seconds\": {}, \"cell_major_vs_scalar_speedup\": {}, \"phase_major_vs_scalar_speedup\": {}, \"checksum_match\": {}{divergence}}}{comma}\n",
-            g.scale,
-            g.cells,
-            g.batches,
-            g.host_cores,
-            json_f6(g.scalar_wall_seconds),
-            json_f6(g.cell_major_wall_seconds),
-            json_f6(g.phase_major_wall_seconds),
-            json_f(g.cell_major_speedup),
-            json_f(g.phase_major_speedup),
-            g.checksum_match,
-        ));
-    }
-    out.push_str("  ],\n");
-    let verdict = check_lockstep_speedup(lockstep_grids, LOCKSTEP_MIN_SPEEDUP);
-    let (verdict_name, detail) = match &verdict {
-        LockstepVerdict::Pass {
-            scale,
-            speedup,
-            scalar_wall_seconds,
-        } => (
-            "pass",
-            format!("{scale}: phase-major {speedup:.2}x vs scalar over {scalar_wall_seconds:.3}s"),
-        ),
-        LockstepVerdict::Fail(m) => ("fail", m.clone()),
-        LockstepVerdict::Skipped(m) => ("skipped", m.clone()),
-    };
-    out.push_str(&format!(
-        "  \"lockstep_gate\": {{\"min_speedup\": {}, \"verdict\": \"{verdict_name}\", \"detail\": \"{}\"}},\n",
-        json_f(LOCKSTEP_MIN_SPEEDUP),
-        json_escape(&detail),
-    ));
     let fig3 = group_ticks_per_sec(results, "fig3");
     out.push_str("  \"summary\": {\n");
     out.push_str(&format!("    \"fig3_ticks_per_sec\": {},\n", json_f(fig3)));
@@ -1215,54 +833,25 @@ mod tests {
         }
     }
 
-    fn fake_lockstep_grid() -> LockstepGridComparison {
-        LockstepGridComparison {
-            scale: "small",
-            cells: 30,
-            batches: 5,
-            host_cores: 4,
-            scalar_wall_seconds: 3.0,
-            cell_major_wall_seconds: 1.5,
-            phase_major_wall_seconds: 1.0,
-            cell_major_speedup: 2.0,
-            phase_major_speedup: 3.0,
-            checksum_match: true,
-            divergence: None,
-        }
-    }
-
     #[test]
     fn json_roundtrips_through_parser() {
         let results = vec![
             fake_result("fig3/FIFO/p8", "fig3", 10_000, 0.5),
             fake_result("fig2/sort/Priority/p16", "fig2", 4_000, 0.25),
         ];
-        let json = render_json(
-            "small",
-            1e8,
-            &results,
-            Some((123.0, 1e8)),
-            &[fake_grid()],
-            &[fake_lockstep_grid()],
-        );
+        let json = render_json("small", 1e8, &results, Some((123.0, 1e8)), &[fake_grid()]);
         let cells = parse_cells(&json);
         assert_eq!(cells.len(), 2);
         assert_eq!(cells[0].id, "fig3/FIFO/p8");
         assert!((cells[0].ticks_per_sec - 20_000.0).abs() < 1.0);
         assert_eq!(cells[0].setup_seconds, Some(0.001));
         assert_eq!(parse_calibration(&json), Some(1e8));
-        assert!(json.contains("\"schema_version\": 5"));
+        assert!(json.contains("\"schema_version\": 6"));
         assert!(json.contains("\"fig3_speedup_vs_pre_pr\""));
         assert!(json.contains("\"rss_before_bytes\": 524288"));
         assert!(json.contains("\"peak_rss_delta_bytes\": 262144"));
         assert!(json.contains("\"shared_vs_owned_speedup\": 2.000"));
-        assert!(json.contains("\"cell_major_vs_scalar_speedup\": 2.000"));
-        assert!(json.contains("\"phase_major_vs_scalar_speedup\": 3.000"));
-        assert!(json.contains("\"batches\": 5"));
-        assert!(json.contains("\"host_cores\": 4"));
         assert!(json.contains("\"checksum_match\": true"));
-        assert!(!json.contains("\"divergence\""));
-        assert!(json.contains("\"lockstep_gate\": {\"min_speedup\": 1.500, \"verdict\": \"pass\""));
     }
 
     /// Satellite regression: sub-millisecond cells used to flatten to
@@ -1276,81 +865,11 @@ mod tests {
             &[fake_result("fast", "fig3", 500, 0.000417)],
             None,
             &[],
-            &[],
         );
         assert!(
             json.contains("\"wall_seconds\": 0.000417"),
             "microseconds lost: {json}"
         );
-    }
-
-    #[test]
-    fn divergence_is_embedded_escaped() {
-        let mut g = fake_lockstep_grid();
-        g.checksum_match = false;
-        g.divergence = Some("cell 3 tick 7\nphase \"serve\"".into());
-        let json = render_json("small", 1e8, &[], None, &[], &[g]);
-        assert!(json.contains("\"divergence\": \"cell 3 tick 7\\nphase \\\"serve\\\"\""));
-        assert!(json.contains("\"verdict\": \"fail\""));
-        // The escaped dump must not confuse the line-oriented cell parser.
-        assert!(parse_cells(&json).is_empty());
-    }
-
-    #[test]
-    fn lockstep_gate_passes_fails_and_skips() {
-        // Pass: 3.0x on a 3 s scalar pass, width 6.
-        match check_lockstep_speedup(&[fake_lockstep_grid()], 1.5) {
-            LockstepVerdict::Pass { scale, speedup, .. } => {
-                assert_eq!(scale, "small");
-                assert!((speedup - 3.0).abs() < 1e-9);
-            }
-            v => panic!("expected Pass, got {v:?}"),
-        }
-        // Fail: ratio under the floor.
-        let mut slow = fake_lockstep_grid();
-        slow.phase_major_speedup = 1.2;
-        match check_lockstep_speedup(&[slow], 1.5) {
-            LockstepVerdict::Fail(line) => assert!(line.contains("LOCKSTEP SPEEDUP")),
-            v => panic!("expected Fail, got {v:?}"),
-        }
-        // Fail: divergent checksums trump everything.
-        let mut diverged = fake_lockstep_grid();
-        diverged.checksum_match = false;
-        match check_lockstep_speedup(&[diverged], 1.5) {
-            LockstepVerdict::Fail(line) => assert!(line.contains("LOCKSTEP DIVERGENCE")),
-            v => panic!("expected Fail, got {v:?}"),
-        }
-        // Skip: single-cell batches take the scalar fallback.
-        let mut narrow = fake_lockstep_grid();
-        narrow.cells = 5;
-        narrow.batches = 5;
-        assert!(matches!(
-            check_lockstep_speedup(&[narrow], 1.5),
-            LockstepVerdict::Skipped(_)
-        ));
-        // Skip: scalar pass under the noise floor.
-        let mut noisy = fake_lockstep_grid();
-        noisy.scalar_wall_seconds = 0.004;
-        assert!(matches!(
-            check_lockstep_speedup(&[noisy], 1.5),
-            LockstepVerdict::Skipped(_)
-        ));
-        // Skip: nothing measured.
-        assert!(matches!(
-            check_lockstep_speedup(&[], 1.5),
-            LockstepVerdict::Skipped(_)
-        ));
-        // The longest-running grid is the one judged.
-        let mut small = fake_lockstep_grid();
-        small.phase_major_speedup = 0.9;
-        small.scalar_wall_seconds = 0.2;
-        let mut medium = fake_lockstep_grid();
-        medium.scale = "medium";
-        medium.scalar_wall_seconds = 10.0;
-        match check_lockstep_speedup(&[small, medium], 1.5) {
-            LockstepVerdict::Pass { scale, .. } => assert_eq!(scale, "medium"),
-            v => panic!("expected Pass on medium, got {v:?}"),
-        }
     }
 
     #[test]
@@ -1361,7 +880,6 @@ mod tests {
             &[fake_result("a", "fig3", 1000, 1.0)],
             None,
             &[],
-            &[],
         );
         let ok = render_json(
             "small",
@@ -1369,14 +887,12 @@ mod tests {
             &[fake_result("a", "fig3", 800, 1.0)],
             None,
             &[],
-            &[],
         );
         let bad = render_json(
             "small",
             1e8,
             &[fake_result("a", "fig3", 700, 1.0)],
             None,
-            &[],
             &[],
         );
         assert!(check_regression(&ok, &base, 0.25).is_empty());
@@ -1393,14 +909,12 @@ mod tests {
             &[fake_result("a", "fig3", 1000, 1.0)],
             None,
             &[],
-            &[],
         );
         let cur = render_json(
             "small",
             1e8,
             &[fake_result("a", "fig3", 550, 1.0)],
             None,
-            &[],
             &[],
         );
         assert!(check_regression(&cur, &base, 0.25).is_empty());
@@ -1409,7 +923,6 @@ mod tests {
             1e8,
             &[fake_result("a", "fig3", 300, 1.0)],
             None,
-            &[],
             &[],
         );
         assert_eq!(check_regression(&cur_bad, &base, 0.25).len(), 1);
@@ -1423,14 +936,12 @@ mod tests {
             &[fake_result("gone", "fig3", 1000, 1.0)],
             None,
             &[],
-            &[],
         );
         let cur = render_json(
             "small",
             1e8,
             &[fake_result("new", "fig3", 10, 1.0)],
             None,
-            &[],
             &[],
         );
         assert!(check_regression(&cur, &base, 0.25).is_empty());
@@ -1444,7 +955,6 @@ mod tests {
             &[fake_result_setup("a", "fig3", 1000, 1.0, 0.001)],
             None,
             &[],
-            &[],
         );
         let ok = render_json(
             "small",
@@ -1452,14 +962,12 @@ mod tests {
             &[fake_result_setup("a", "fig3", 1000, 1.0, 0.00125)],
             None,
             &[],
-            &[],
         );
         let bad = render_json(
             "small",
             1e8,
             &[fake_result_setup("a", "fig3", 1000, 1.0, 0.0015)],
             None,
-            &[],
             &[],
         );
         assert!(check_setup_regression(&ok, &base, 0.30).is_empty());
@@ -1478,14 +986,12 @@ mod tests {
             &[fake_result_setup("a", "fig3", 1000, 1.0, 0.001)],
             None,
             &[],
-            &[],
         );
         let cur = render_json(
             "small",
             1e8,
             &[fake_result_setup("a", "fig3", 1000, 1.0, 0.0024)],
             None,
-            &[],
             &[],
         );
         assert!(check_setup_regression(&cur, &base, 0.30).is_empty());
@@ -1494,7 +1000,6 @@ mod tests {
             1e8,
             &[fake_result_setup("a", "fig3", 1000, 1.0, 0.003)],
             None,
-            &[],
             &[],
         );
         assert_eq!(check_setup_regression(&cur_bad, &base, 0.30).len(), 1);
@@ -1510,7 +1015,6 @@ mod tests {
             &[fake_result_setup("a", "fig3", 1000, 1.0, 10.0)],
             None,
             &[],
-            &[],
         );
         assert!(check_setup_regression(&cur, base_v2, 0.30).is_empty());
         // A baseline below the 50 us noise floor is skipped too.
@@ -1519,7 +1023,6 @@ mod tests {
             1e8,
             &[fake_result_setup("a", "fig3", 1000, 1.0, 10e-6)],
             None,
-            &[],
             &[],
         );
         assert!(check_setup_regression(&cur, &base_tiny, 0.30).is_empty());
@@ -1534,26 +1037,6 @@ mod tests {
         assert!(g.owned_wall_seconds > 0.0);
         assert!(g.shared_wall_seconds > 0.0);
         assert!(g.speedup > 0.0);
-    }
-
-    #[test]
-    fn lockstep_grid_comparison_is_bit_identical_and_positive() {
-        let g = lockstep_grid_comparison(BenchScale::Small);
-        assert_eq!(g.scale, "small");
-        assert_eq!(g.cells, 5 * 3 * 2);
-        assert_eq!(g.batches, 5);
-        assert!(
-            g.checksum_match,
-            "batched paths must be bit-identical: {:?}",
-            g.divergence
-        );
-        assert!(g.divergence.is_none());
-        assert!(g.host_cores >= 1);
-        assert!(g.scalar_wall_seconds > 0.0);
-        assert!(g.cell_major_wall_seconds > 0.0);
-        assert!(g.phase_major_wall_seconds > 0.0);
-        assert!(g.cell_major_speedup > 0.0);
-        assert!(g.phase_major_speedup > 0.0);
     }
 
     #[test]

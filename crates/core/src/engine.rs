@@ -47,17 +47,13 @@
 //! also mirrors the arbiter's queue length to avoid virtual calls in the
 //! eviction predicate.
 //!
-//! # One step implementation, two engines
+//! # Phase methods
 //!
-//! The whole tick loop (steps 1–5 plus the fast-forward prover below) lives
-//! in [`CellCtx`], a borrow structure over *slices* of per-cell state plus
-//! one [`CellScalars`] record. [`Engine`] lends its own `Vec`s to a
-//! `CellCtx`; the lockstep [`crate::lockstep::BatchEngine`] lends per-cell
-//! windows of its structure-of-arrays columns. Both therefore execute
-//! literally the same machine code per tick — bit-identity between the
-//! scalar and batched paths holds by construction, and the lockstep
-//! differential suite (`crates/core/tests/lockstep_differential.rs`)
-//! re-proves it against both this engine and the oracle.
+//! [`Engine::step`] is nothing but six phase methods called in canonical
+//! order: `tick_begin` (fast-forward, fault pre-step, step 1), `tick_issue`
+//! (step 2), `tick_evict` (step 3), `tick_serve` (step 4), `tick_transfer`
+//! (step 5) and `tick_end` (sampling and worklist swap). They are the
+//! engine's profiling boundaries.
 //!
 //! # Event-driven fast-forward
 //!
@@ -89,7 +85,7 @@ use crate::workload::Workload;
 use std::sync::Arc;
 
 /// Sentinel for "no core" / "no waiter" in the intrusive waiter chains.
-pub(crate) const NIL: u32 = u32::MAX;
+const NIL: u32 = u32::MAX;
 
 /// Per-page hot state, packed into one 16-byte record so the issue / land /
 /// serve phases of a miss each touch a single cache line instead of three
@@ -97,19 +93,19 @@ pub(crate) const NIL: u32 = u32::MAX;
 /// set at paper scale).
 #[derive(Debug, Clone, Copy)]
 #[repr(align(16))]
-pub(crate) struct PageRt {
+struct PageRt {
     /// Pin count: resident requests awaiting a serve (never evicted while
     /// non-zero).
-    pub(crate) pinned: u32,
+    pinned: u32,
     /// First core of the intrusive waiter chain (`NIL` when no fetch is in
     /// flight for this page).
-    pub(crate) waiter_head: u32,
+    waiter_head: u32,
     /// Last core of the chain (appended on coalesce).
-    pub(crate) waiter_tail: u32,
+    waiter_tail: u32,
 }
 
 impl PageRt {
-    pub(crate) const EMPTY: PageRt = PageRt {
+    const EMPTY: PageRt = PageRt {
         pinned: 0,
         waiter_head: NIL,
         waiter_tail: NIL,
@@ -117,26 +113,26 @@ impl PageRt {
 }
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct CoreRt {
+struct CoreRt {
     /// Position of the current (unserved) reference in the engine's
     /// flattened trace arrays; `== end` when done.
-    pub(crate) pos: usize,
+    pos: usize,
     /// One past this core's last reference in the flattened arrays.
-    pub(crate) end: usize,
+    end: usize,
     /// Tick at which the current request was issued.
-    pub(crate) issue_tick: Tick,
+    issue_tick: Tick,
     /// Whether the current request went through the DRAM queue.
-    pub(crate) was_miss: bool,
+    was_miss: bool,
     /// The current request's page (set at issue, read at serve).
-    pub(crate) cur_page: GlobalPage,
+    cur_page: GlobalPage,
     /// Dense index of `cur_page`.
-    pub(crate) cur_idx: u32,
+    cur_idx: u32,
 }
 
 impl CoreRt {
-    /// Placeholder used when (re)sizing core tables; every field is
-    /// overwritten by [`fill_cores`] before the first tick.
-    pub(crate) const IDLE: CoreRt = CoreRt {
+    /// Template for a core's runtime record; construction overrides `pos`
+    /// and `end`.
+    const IDLE: CoreRt = CoreRt {
         pos: 0,
         end: 0,
         issue_tick: 0,
@@ -144,576 +140,6 @@ impl CoreRt {
         cur_page: GlobalPage(0),
         cur_idx: 0,
     };
-}
-
-/// The scalar (non-buffer) mutable state of one running simulation cell.
-///
-/// Grouping these in one record is what lets [`Engine`] (owning `Vec`s) and
-/// [`crate::lockstep::BatchEngine`] (owning structure-of-arrays columns,
-/// one `CellScalars` per cell) drive the *same* tick implementation through
-/// [`CellCtx`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CellScalars {
-    /// Population counts of the four worklist bitsets (cheap emptiness
-    /// checks for the fast-forward gate).
-    pub(crate) issue_count: usize,
-    pub(crate) issue_next_count: usize,
-    pub(crate) ready_count: usize,
-    pub(crate) ready_next_count: usize,
-    /// Mirror of `arbiter.len()`, maintained so the hot path never pays a
-    /// virtual call for the eviction/fetch predicates.
-    pub(crate) queue_len: usize,
-    /// The next tick at which the arbiter may remap, per
-    /// [`crate::arbitration::ArbitrationPolicy::next_remap_at_or_after`].
-    pub(crate) next_remap: Option<Tick>,
-    /// `!plan.is_empty()`, hoisted so fault-free runs pay a single branch.
-    pub(crate) plan_active: bool,
-    /// Channels down at the last executed tick — the delta against the
-    /// current tick's outage width drives `FaultEvent::OutageStart`/`End`
-    /// emission. Boundary ticks always execute (fast-forward clamps to
-    /// them), so the delta is never observed late.
-    pub(crate) last_down: usize,
-    pub(crate) tick: Tick,
-    pub(crate) remaining: usize,
-    pub(crate) makespan: Tick,
-}
-
-/// (Re)initializes `cores` and the tick-0 issue worklist from `flat`,
-/// returning `(issue_count, remaining)`. Shared by the scalar and lockstep
-/// engine constructors so both start every cell from literally the same
-/// state. `cores` must already hold `flat.cores()` entries and `issue_bits`
-/// must be zeroed.
-pub(crate) fn fill_cores(
-    flat: &FlatWorkload,
-    cores: &mut [CoreRt],
-    issue_bits: &mut [u64],
-) -> (usize, usize) {
-    let mut issue_count = 0;
-    let mut remaining = 0;
-    for (c, rt) in cores.iter_mut().enumerate() {
-        let range = flat.core_range(c as CoreId);
-        *rt = CoreRt {
-            pos: range.start,
-            end: range.end,
-            ..CoreRt::IDLE
-        };
-        if range.start < range.end {
-            issue_bits[c / 64] |= 1u64 << (c % 64);
-            issue_count += 1;
-            remaining += 1;
-        }
-    }
-    (issue_count, remaining)
-}
-
-/// Borrowed view of one simulation cell's full mutable state — the
-/// substrate the tick loop runs on. [`Engine`] builds one over its own
-/// fields; [`crate::lockstep::BatchEngine`] builds one per cell over
-/// windows of its structure-of-arrays columns, so both engines execute the
-/// same step code (see module docs).
-pub(crate) struct CellCtx<'a> {
-    pub(crate) config: &'a SimConfig,
-    pub(crate) flat: &'a FlatWorkload,
-    pub(crate) plan: &'a FaultPlan,
-    pub(crate) hbm: &'a mut Hbm,
-    pub(crate) arbiter: &'a mut Arbiter,
-    pub(crate) metrics: &'a mut MetricsCollector,
-    pub(crate) cores: &'a mut [CoreRt],
-    pub(crate) issue_bits: &'a mut [u64],
-    pub(crate) issue_next_bits: &'a mut [u64],
-    pub(crate) ready_bits: &'a mut [u64],
-    pub(crate) ready_next_bits: &'a mut [u64],
-    pub(crate) pages: &'a mut [PageRt],
-    pub(crate) waiter_next: &'a mut [u32],
-    pub(crate) channel_busy: &'a mut [Tick],
-    pub(crate) fetch_buf: &'a mut Vec<Request>,
-    pub(crate) in_flight: &'a mut Vec<(Tick, Request)>,
-    pub(crate) s: &'a mut CellScalars,
-}
-
-impl CellCtx<'_> {
-    /// Fast-forwards `s.tick` over a maximal span of inert ticks (see
-    /// module docs), clamped to `max_ticks`. Returns `true` when the clamp
-    /// was hit, i.e. the caller should not execute a tick.
-    fn fast_forward(&mut self) -> bool {
-        if self.s.issue_count != 0 || self.s.ready_count != 0 {
-            return false;
-        }
-        let t = self.s.tick;
-        // Effective channel count, constant across the whole candidate span
-        // because `next` is clamped to the plan's next window boundary.
-        let q_eff = if self.s.plan_active {
-            let q_eff = self.plan.effective_channels(self.config.channels, t);
-            if self.config.channels - q_eff != self.s.last_down {
-                // `t` is an outage transition: it must execute so the
-                // OutageStart/End event fires on the boundary tick itself.
-                return false;
-            }
-            q_eff
-        } else {
-            self.config.channels
-        };
-        // Earliest tick at which anything can happen again.
-        let mut next = Tick::MAX;
-        if let Some(r) = self.s.next_remap {
-            next = next.min(r);
-        }
-        for &(arrival, _) in self.in_flight.iter() {
-            next = next.min(arrival);
-        }
-        if self.s.queue_len > 0 && q_eff > 0 {
-            if self.s.queue_len > self.hbm.free_slots().saturating_sub(self.in_flight.len()) {
-                // The eviction predicate already holds: this tick evicts.
-                next = next.min(t);
-            } else {
-                // Room exists, so a fetch starts the moment an *enabled*
-                // channel frees (a channel with busy-until `b` is free at
-                // `b`; channels past `q_eff` are outage-gated and cannot
-                // start transfers this span).
-                for &b in &self.channel_busy[..q_eff] {
-                    next = next.min(b);
-                }
-            }
-        }
-        if self.s.plan_active {
-            // Window boundaries change `q_eff` and the outage accounting;
-            // they must execute even when otherwise inert (this also keeps
-            // `OutageStart`/`End` emission on the boundary tick).
-            if let Some(b) = self.plan.next_boundary_after(t) {
-                next = next.min(b);
-            }
-        }
-        // With worklists empty and no pending event, every remaining core
-        // is queued or in flight, so `next` is finite here in practice;
-        // `max_ticks` caps it regardless, matching a truncated run.
-        let target = next.min(self.config.max_ticks).max(t);
-        if target > t {
-            // Each skipped tick ends with the same queue-length sample the
-            // executed loop would have taken (integer-exact batching).
-            self.metrics
-                .sample_queue_len_n(self.s.queue_len, target - t);
-            if self.s.plan_active && self.s.queue_len > 0 && q_eff == 0 {
-                // Every skipped tick held queued requests against a full
-                // outage — the same count the executed loop would record.
-                self.metrics.record_outage_blocked_n(target - t);
-            }
-            self.s.tick = target;
-            if target == self.config.max_ticks {
-                return true; // truncation boundary: run() stops here
-            }
-        }
-        false
-    }
-
-    /// Opens one tick: fast-forward over inert spans, `on_tick_start`, the
-    /// fault pre-step, and step 1 (remap). Returns `Some(q_eff)` — this
-    /// tick's effective channel count, threaded through the remaining
-    /// phases — when a tick executes at `s.tick`, or `None` when the cell
-    /// is finished or clamped at `max_ticks` (no tick runs; the cell is
-    /// permanently inactive).
-    pub(crate) fn tick_begin<O: SimObserver>(&mut self, observer: &mut O) -> Option<usize> {
-        if self.s.remaining == 0 {
-            return None;
-        }
-        if self.fast_forward() {
-            return None;
-        }
-        let t = self.s.tick;
-        let q = self.config.channels;
-        observer.on_tick_start(t);
-
-        // Fault pre-step: resolve this tick's effective channel count and
-        // report outage transitions. `last_down` only changes on window
-        // boundary ticks, which the fast-forward clamp guarantees execute.
-        let q_eff = if self.s.plan_active {
-            let q_eff = self.plan.effective_channels(q, t);
-            let down = q - q_eff;
-            if down > self.s.last_down {
-                observer.on_fault(
-                    t,
-                    FaultEvent::OutageStart {
-                        down: down - self.s.last_down,
-                    },
-                );
-            } else if down < self.s.last_down {
-                observer.on_fault(
-                    t,
-                    FaultEvent::OutageEnd {
-                        restored: self.s.last_down - down,
-                    },
-                );
-            }
-            self.s.last_down = down;
-            q_eff
-        } else {
-            q
-        };
-
-        // Step 1: remap priorities on schedule. `next_remap` caches the
-        // arbiter's schedule so quiet ticks skip the call entirely.
-        if self.s.next_remap.is_some_and(|r| r <= t) {
-            if self.arbiter.maybe_remap(t) {
-                self.metrics.record_remap();
-                observer.on_remap(t);
-            }
-            self.s.next_remap = self.arbiter.next_remap_at_or_after(t + 1);
-        }
-        Some(q_eff)
-    }
-
-    /// Step 2 of the current tick (only valid between [`Self::tick_begin`]
-    /// returning `Some` and [`Self::tick_end`]).
-    pub(crate) fn tick_issue<O: SimObserver>(&mut self, observer: &mut O) {
-        let t = self.s.tick;
-        // Step 2: issue requests; misses enter the DRAM queue. Bit-ascending
-        // iteration means "for each core" is increasing core id (canonical
-        // order, see module docs).
-        debug_assert_eq!(self.s.issue_next_count, 0);
-        if self.s.issue_count > 0 {
-            self.s.issue_count = 0;
-            for w in 0..self.issue_bits.len() {
-                let mut word = self.issue_bits[w];
-                if word == 0 {
-                    continue;
-                }
-                self.issue_bits[w] = 0;
-                while word != 0 {
-                    let bit = word & word.wrapping_neg();
-                    word ^= bit;
-                    let core = (w as u32) * 64 + bit.trailing_zeros();
-                    let rt = &mut self.cores[core as usize];
-                    let page = GlobalPage(self.flat.page[rt.pos]);
-                    let idx = self.flat.idx[rt.pos];
-                    rt.cur_page = page;
-                    rt.cur_idx = idx;
-                    if self.hbm.contains_idx(idx) {
-                        rt.was_miss = false;
-                        self.pages[idx as usize].pinned += 1;
-                        self.ready_bits[w] |= bit;
-                        self.s.ready_count += 1;
-                    } else {
-                        rt.was_miss = true;
-                        self.metrics.record_miss();
-                        let pg = &mut self.pages[idx as usize];
-                        if pg.waiter_head == NIL {
-                            pg.waiter_head = core;
-                            pg.waiter_tail = core;
-                            self.waiter_next[core as usize] = NIL;
-                            self.s.queue_len += 1;
-                            self.arbiter.enqueue(Request {
-                                core,
-                                page,
-                                arrival: t,
-                            });
-                            observer.on_enqueue(t, core, page);
-                        } else {
-                            // Another core already has this fetch in flight
-                            // (shared workloads only): coalesce, appending to
-                            // the chain so landing preserves insertion order.
-                            let tail = pg.waiter_tail;
-                            pg.waiter_tail = core;
-                            self.waiter_next[tail as usize] = core;
-                            self.waiter_next[core as usize] = NIL;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Step 3 of the current tick.
-    pub(crate) fn tick_evict<O: SimObserver>(&mut self, q_eff: usize, observer: &mut O) {
-        let t = self.s.tick;
-        // Step 3: evict up to q_eff pages when the queue exceeds free
-        // capacity — the machine only makes room for as many fetches as it
-        // can start, so an outage shrinks the eviction budget too. Slots
-        // are reserved for in-flight transfers so their arrival can never
-        // find the HBM full.
-        let mut evicted = 0;
-        while evicted < q_eff
-            && self.s.queue_len > self.hbm.free_slots().saturating_sub(self.in_flight.len())
-        {
-            let pages = &self.pages;
-            match self
-                .hbm
-                .evict_one_idx(&mut |idx| pages[idx as usize].pinned != 0)
-            {
-                Some((page, _)) => {
-                    evicted += 1;
-                    self.metrics.record_eviction();
-                    observer.on_evict(t, page);
-                }
-                None => break, // every resident page is pinned
-            }
-        }
-    }
-
-    /// Step 4 of the current tick.
-    pub(crate) fn tick_serve<O: SimObserver>(&mut self, observer: &mut O) {
-        let t = self.s.tick;
-        // Step 4: serve resident requests in increasing core id (canonical
-        // order for free: bit-ascending iteration, regardless of the order
-        // in which fetches landed).
-        if self.s.ready_count > 0 {
-            self.s.ready_count = 0;
-            for w in 0..self.ready_bits.len() {
-                let mut word = self.ready_bits[w];
-                if word == 0 {
-                    continue;
-                }
-                self.ready_bits[w] = 0;
-                while word != 0 {
-                    let bit = word & word.wrapping_neg();
-                    word ^= bit;
-                    let core = (w as u32) * 64 + bit.trailing_zeros();
-                    let rt = &mut self.cores[core as usize];
-                    let page = rt.cur_page;
-                    let idx = rt.cur_idx;
-                    let response = t - rt.issue_tick + 1;
-                    let hit = !rt.was_miss;
-                    self.hbm.touch_idx(idx);
-                    self.pages[idx as usize].pinned -= 1;
-                    self.metrics.record_serve(core, response, hit);
-                    observer.on_serve(t, core, page, response, hit);
-                    rt.pos += 1;
-                    if rt.pos == rt.end {
-                        self.s.remaining -= 1;
-                        self.s.makespan = self.s.makespan.max(t + 1);
-                        self.metrics.record_finish(core, t + 1);
-                        observer.on_core_done(t + 1, core);
-                    } else {
-                        rt.issue_tick = t + 1;
-                        self.issue_next_bits[w] |= bit;
-                        self.s.issue_next_count += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Step 5 of the current tick (transfer start + land).
-    pub(crate) fn tick_transfer<O: SimObserver>(&mut self, q_eff: usize, observer: &mut O) {
-        let t = self.s.tick;
-        // Step 5: start up to q transfers on free far channels, then land
-        // the transfers that complete this tick. With far_latency = 1 (the
-        // paper's model) a transfer started now lands now, so the two
-        // phases collapse into the original "fetch up to q pages".
-        if self.s.queue_len > 0 && q_eff > 0 {
-            // An outage disables the *last* q - q_eff channels for new
-            // transfers, so only the `..q_eff` prefix may be claimed;
-            // in-flight transfers on disabled channels complete normally.
-            let free_channels = self.channel_busy[..q_eff]
-                .iter()
-                .filter(|&&b| b <= t)
-                .count();
-            let room = self.hbm.free_slots().saturating_sub(self.in_flight.len());
-            let n = free_channels.min(room);
-            if n > 0 {
-                self.arbiter.select(n, self.fetch_buf);
-                self.s.queue_len -= self.fetch_buf.len();
-                for i in 0..self.fetch_buf.len() {
-                    let req = self.fetch_buf[i];
-                    let latency = if self.s.plan_active {
-                        let (latency, extra, failures) = self.plan.transfer_time(
-                            self.config.far_latency,
-                            t,
-                            req.core,
-                            req.page.0,
-                        );
-                        if extra > 0 {
-                            self.metrics.record_degraded_fetch();
-                            observer.on_fault(
-                                t,
-                                FaultEvent::DegradedFetch {
-                                    core: req.core,
-                                    page: req.page,
-                                    extra_latency: extra,
-                                },
-                            );
-                        }
-                        if failures > 0 {
-                            self.metrics.record_transient_faults(failures);
-                            observer.on_fault(
-                                t,
-                                FaultEvent::TransientFailure {
-                                    core: req.core,
-                                    page: req.page,
-                                    failures,
-                                },
-                            );
-                        }
-                        latency
-                    } else {
-                        self.config.far_latency
-                    };
-                    // Claim a free (enabled) channel.
-                    for b in self.channel_busy[..q_eff].iter_mut() {
-                        if *b <= t {
-                            *b = t + latency;
-                            break;
-                        }
-                    }
-                    self.in_flight.push((t + latency - 1, req));
-                }
-            }
-        }
-        // Land arrivals (including same-tick ones when far_latency == 1) in
-        // the order the transfers started — stable `remove`, not
-        // `swap_remove`, so HBM insertion order is canonical. The list
-        // holds at most q entries, so the shift is negligible.
-        if !self.in_flight.is_empty() {
-            let mut i = 0;
-            while i < self.in_flight.len() {
-                let (arrival, req) = self.in_flight[i];
-                if arrival > t {
-                    i += 1;
-                    continue;
-                }
-                self.in_flight.remove(i);
-                // The fetching core is still parked on this reference, so
-                // its cached `cur_idx` is the page's dense index — no
-                // indexer lookup needed.
-                let idx = self.cores[req.core as usize].cur_idx;
-                self.hbm.insert_idx(req.page, idx);
-                // Promote the whole waiter chain (they all become ready;
-                // the serve loop's bit order restores canonical id order).
-                let pg = &mut self.pages[idx as usize];
-                let mut c = pg.waiter_head;
-                debug_assert!(c != NIL, "every queued fetch has waiters");
-                pg.waiter_head = NIL;
-                pg.waiter_tail = NIL;
-                let mut n_waiters = 0u32;
-                while c != NIL {
-                    self.ready_next_bits[(c / 64) as usize] |= 1u64 << (c % 64);
-                    self.s.ready_next_count += 1;
-                    n_waiters += 1;
-                    c = self.waiter_next[c as usize];
-                }
-                self.pages[idx as usize].pinned += n_waiters;
-                self.metrics.record_fetch();
-                observer.on_fetch(t, req.core, req.page);
-            }
-        }
-    }
-
-    /// Closes the current tick: end-of-tick sampling, invariant checks,
-    /// worklist swaps, and the tick advance.
-    pub(crate) fn tick_end(&mut self, q_eff: usize) {
-        let t = self.s.tick;
-        self.metrics.sample_queue_len(self.s.queue_len);
-        if self.s.plan_active && self.s.queue_len > 0 && q_eff == 0 {
-            self.metrics.record_outage_blocked_n(1);
-        }
-        debug_assert_eq!(self.s.queue_len, self.arbiter.len(), "queue mirror drift");
-        #[cfg(debug_assertions)]
-        self.hbm.check_invariants();
-        // Swap the current/next worklists by content: a borrowed slice
-        // cannot trade `Vec` pointers the way the scalar engine historically
-        // did, but the current sets are all-zero after their drain loops, so
-        // the content swap is bit-identical (and the word span is tiny).
-        self.issue_bits.swap_with_slice(self.issue_next_bits);
-        self.ready_bits.swap_with_slice(self.ready_next_bits);
-        self.s.issue_count = self.s.issue_next_count;
-        self.s.issue_next_count = 0;
-        self.s.ready_count = self.s.ready_next_count;
-        self.s.ready_next_count = 0;
-        debug_assert!(self.issue_next_bits.iter().all(|&w| w == 0));
-        debug_assert!(self.ready_next_bits.iter().all(|&w| w == 0));
-        self.s.tick = t + 1;
-    }
-
-    /// Human-readable snapshot of the cell's full mutable state, for the
-    /// divergence triage tool ([`crate::triage`]). Large tables are
-    /// elided after a prefix — triage wants the neighborhood of the first
-    /// divergence, not a core dump.
-    pub(crate) fn dump_state(&self) -> String {
-        use std::fmt::Write;
-        const LIMIT: usize = 16;
-        let s = &self.s;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "tick={} remaining={} makespan={} queue_len={} issue={} ready={} \
-             issue_next={} ready_next={} last_down={} next_remap={:?}",
-            s.tick,
-            s.remaining,
-            s.makespan,
-            s.queue_len,
-            s.issue_count,
-            s.ready_count,
-            s.issue_next_count,
-            s.ready_next_count,
-            s.last_down,
-            s.next_remap,
-        );
-        let _ = writeln!(
-            out,
-            "hbm: resident={}/{} free_slots={}",
-            self.hbm.len(),
-            self.hbm.capacity(),
-            self.hbm.free_slots()
-        );
-        let _ = writeln!(out, "channel_busy={:?}", self.channel_busy);
-        let _ = writeln!(out, "in_flight={:?}", self.in_flight);
-        for (c, rt) in self.cores.iter().enumerate().take(LIMIT) {
-            let _ = writeln!(
-                out,
-                "core {c}: pos={}/{} issue_tick={} was_miss={} cur_page={} cur_idx={}",
-                rt.pos, rt.end, rt.issue_tick, rt.was_miss, rt.cur_page, rt.cur_idx
-            );
-        }
-        if self.cores.len() > LIMIT {
-            let _ = writeln!(out, "(+{} more cores)", self.cores.len() - LIMIT);
-        }
-        let busy_pages = self
-            .pages
-            .iter()
-            .enumerate()
-            .filter(|(_, pg)| pg.pinned != 0 || pg.waiter_head != NIL);
-        let mut shown = 0usize;
-        let mut elided = 0usize;
-        for (idx, pg) in busy_pages {
-            if shown == LIMIT {
-                elided += 1;
-                continue;
-            }
-            shown += 1;
-            let mut chain = Vec::new();
-            let mut c = pg.waiter_head;
-            while c != NIL && chain.len() <= self.waiter_next.len() {
-                chain.push(c);
-                c = self.waiter_next[c as usize];
-            }
-            let _ = writeln!(
-                out,
-                "page idx={idx}: pinned={} waiters={chain:?}",
-                pg.pinned
-            );
-        }
-        if elided > 0 {
-            let _ = writeln!(out, "(+{elided} more busy pages)");
-        }
-        out
-    }
-
-    /// Executes one tick (steps 1–5). No-op when the cell is done. When
-    /// the upcoming span of ticks is provably inert the cell first
-    /// fast-forwards across it, so one call may advance `s.tick` by more
-    /// than one.
-    ///
-    /// The body is nothing but the five phase methods in canonical order —
-    /// the phase-major batch executor in [`crate::lockstep`] calls the
-    /// same methods per phase across all cells, so the two executors are
-    /// bit-identical by construction.
-    pub(crate) fn step<O: SimObserver>(&mut self, observer: &mut O) {
-        if let Some(q_eff) = self.tick_begin(observer) {
-            self.tick_issue(observer);
-            self.tick_evict(q_eff, observer);
-            self.tick_serve(observer);
-            self.tick_transfer(q_eff, observer);
-            self.tick_end(q_eff);
-        }
-    }
 }
 
 /// Recycled per-cell mutable state, letting sequential simulation cells on
@@ -792,9 +218,28 @@ pub struct Engine {
     /// transient failures lengthen individual transfers at start time.
     plan: FaultPlan,
     metrics: MetricsCollector,
-    /// Scalar mutable state, grouped so [`Engine::step`] can lend the whole
-    /// record to the shared [`CellCtx`] tick implementation.
-    s: CellScalars,
+    /// Population counts of the four worklist bitsets (cheap emptiness
+    /// checks for the fast-forward gate).
+    issue_count: usize,
+    issue_next_count: usize,
+    ready_count: usize,
+    ready_next_count: usize,
+    /// Mirror of `arbiter.len()`, maintained so the hot path never pays a
+    /// virtual call for the eviction/fetch predicates.
+    queue_len: usize,
+    /// The next tick at which the arbiter may remap, per
+    /// [`crate::arbitration::ArbitrationPolicy::next_remap_at_or_after`].
+    next_remap: Option<Tick>,
+    /// `!plan.is_empty()`, hoisted so fault-free runs pay a single branch.
+    plan_active: bool,
+    /// Channels down at the last executed tick — the delta against the
+    /// current tick's outage width drives `FaultEvent::OutageStart`/`End`
+    /// emission. Boundary ticks always execute (fast-forward clamps to
+    /// them), so the delta is never observed late.
+    last_down: usize,
+    tick: Tick,
+    remaining: usize,
+    makespan: Tick,
 }
 
 impl Engine {
@@ -867,8 +312,19 @@ impl Engine {
         ready_next_bits.clear();
         ready_next_bits.resize(words, 0);
         cores.clear();
-        cores.resize(p, CoreRt::IDLE);
-        let (issue_count, remaining) = fill_cores(&flat, &mut cores, &mut issue_bits);
+        let mut issue_count = 0;
+        for c in 0..p {
+            let range = flat.core_range(c as CoreId);
+            cores.push(CoreRt {
+                pos: range.start,
+                end: range.end,
+                ..CoreRt::IDLE
+            });
+            if range.start < range.end {
+                issue_bits[c / 64] |= 1u64 << (c % 64);
+                issue_count += 1;
+            }
+        }
         pages.clear();
         pages.resize(flat.total_pages(), PageRt::EMPTY);
         waiter_next.clear();
@@ -903,36 +359,34 @@ impl Engine {
             channel_busy,
             plan: faults.clone(),
             metrics: MetricsCollector::new(p),
-            s: CellScalars {
-                issue_count,
-                issue_next_count: 0,
-                ready_count: 0,
-                ready_next_count: 0,
-                queue_len: 0,
-                next_remap,
-                plan_active: !faults.is_empty(),
-                last_down: 0,
-                tick: 0,
-                remaining,
-                makespan: 0,
-            },
+            issue_count,
+            issue_next_count: 0,
+            ready_count: 0,
+            ready_next_count: 0,
+            queue_len: 0,
+            next_remap,
+            plan_active: !faults.is_empty(),
+            last_down: 0,
+            tick: 0,
+            remaining: issue_count,
+            makespan: 0,
             config,
         }
     }
 
     /// The tick about to execute (0 before the first [`step`](Self::step)).
     pub fn tick(&self) -> Tick {
-        self.s.tick
+        self.tick
     }
 
     /// True once every core has served its whole trace.
     pub fn is_done(&self) -> bool {
-        self.s.remaining == 0
+        self.remaining == 0
     }
 
     /// Cores still running.
     pub fn cores_remaining(&self) -> usize {
-        self.s.remaining
+        self.remaining
     }
 
     /// The HBM state (inspection).
@@ -951,33 +405,392 @@ impl Engine {
         self.arbiter.priority_of(core)
     }
 
-    /// Human-readable snapshot of the engine's mutable state, for the
-    /// divergence triage tool ([`crate::triage`]).
-    pub(crate) fn dump_state(&mut self) -> String {
-        self.cell_mut().dump_state()
+    /// Fast-forwards `self.tick` over a maximal span of inert ticks (see
+    /// module docs), clamped to `max_ticks`. Returns `true` when the clamp
+    /// was hit, i.e. the caller should not execute a tick.
+    fn fast_forward(&mut self) -> bool {
+        if self.issue_count != 0 || self.ready_count != 0 {
+            return false;
+        }
+        let t = self.tick;
+        // Effective channel count, constant across the whole candidate span
+        // because `next` is clamped to the plan's next window boundary.
+        let q_eff = if self.plan_active {
+            let q_eff = self.plan.effective_channels(self.config.channels, t);
+            if self.config.channels - q_eff != self.last_down {
+                // `t` is an outage transition: it must execute so the
+                // OutageStart/End event fires on the boundary tick itself.
+                return false;
+            }
+            q_eff
+        } else {
+            self.config.channels
+        };
+        // Earliest tick at which anything can happen again.
+        let mut next = Tick::MAX;
+        if let Some(r) = self.next_remap {
+            next = next.min(r);
+        }
+        for &(arrival, _) in self.in_flight.iter() {
+            next = next.min(arrival);
+        }
+        if self.queue_len > 0 && q_eff > 0 {
+            if self.queue_len > self.hbm.free_slots().saturating_sub(self.in_flight.len()) {
+                // The eviction predicate already holds: this tick evicts.
+                next = next.min(t);
+            } else {
+                // Room exists, so a fetch starts the moment an *enabled*
+                // channel frees (a channel with busy-until `b` is free at
+                // `b`; channels past `q_eff` are outage-gated and cannot
+                // start transfers this span).
+                for &b in &self.channel_busy[..q_eff] {
+                    next = next.min(b);
+                }
+            }
+        }
+        if self.plan_active {
+            // Window boundaries change `q_eff` and the outage accounting;
+            // they must execute even when otherwise inert (this also keeps
+            // `OutageStart`/`End` emission on the boundary tick).
+            if let Some(b) = self.plan.next_boundary_after(t) {
+                next = next.min(b);
+            }
+        }
+        // With worklists empty and no pending event, every remaining core
+        // is queued or in flight, so `next` is finite here in practice;
+        // `max_ticks` caps it regardless, matching a truncated run.
+        let target = next.min(self.config.max_ticks).max(t);
+        if target > t {
+            // Each skipped tick ends with the same queue-length sample the
+            // executed loop would have taken (integer-exact batching).
+            self.metrics.sample_queue_len_n(self.queue_len, target - t);
+            if self.plan_active && self.queue_len > 0 && q_eff == 0 {
+                // Every skipped tick held queued requests against a full
+                // outage — the same count the executed loop would record.
+                self.metrics.record_outage_blocked_n(target - t);
+            }
+            self.tick = target;
+            if target == self.config.max_ticks {
+                return true; // truncation boundary: run() stops here
+            }
+        }
+        false
     }
 
-    /// Lends every mutable field to the shared tick implementation.
-    fn cell_mut(&mut self) -> CellCtx<'_> {
-        CellCtx {
-            config: &self.config,
-            flat: &self.flat,
-            plan: &self.plan,
-            hbm: &mut self.hbm,
-            arbiter: &mut self.arbiter,
-            metrics: &mut self.metrics,
-            cores: &mut self.cores,
-            issue_bits: &mut self.issue_bits,
-            issue_next_bits: &mut self.issue_next_bits,
-            ready_bits: &mut self.ready_bits,
-            ready_next_bits: &mut self.ready_next_bits,
-            pages: &mut self.pages,
-            waiter_next: &mut self.waiter_next,
-            channel_busy: &mut self.channel_busy,
-            fetch_buf: &mut self.fetch_buf,
-            in_flight: &mut self.in_flight,
-            s: &mut self.s,
+    /// Opens one tick: fast-forward over inert spans, `on_tick_start`, the
+    /// fault pre-step, and step 1 (remap). Returns `Some(q_eff)` — this
+    /// tick's effective channel count, threaded through the remaining
+    /// phases — when a tick executes at `self.tick`, or `None` when the cell
+    /// is finished or clamped at `max_ticks` (no tick runs; the cell is
+    /// permanently inactive).
+    fn tick_begin<O: SimObserver>(&mut self, observer: &mut O) -> Option<usize> {
+        if self.remaining == 0 {
+            return None;
         }
+        if self.fast_forward() {
+            return None;
+        }
+        let t = self.tick;
+        let q = self.config.channels;
+        observer.on_tick_start(t);
+
+        // Fault pre-step: resolve this tick's effective channel count and
+        // report outage transitions. `last_down` only changes on window
+        // boundary ticks, which the fast-forward clamp guarantees execute.
+        let q_eff = if self.plan_active {
+            let q_eff = self.plan.effective_channels(q, t);
+            let down = q - q_eff;
+            if down > self.last_down {
+                observer.on_fault(
+                    t,
+                    FaultEvent::OutageStart {
+                        down: down - self.last_down,
+                    },
+                );
+            } else if down < self.last_down {
+                observer.on_fault(
+                    t,
+                    FaultEvent::OutageEnd {
+                        restored: self.last_down - down,
+                    },
+                );
+            }
+            self.last_down = down;
+            q_eff
+        } else {
+            q
+        };
+
+        // Step 1: remap priorities on schedule. `next_remap` caches the
+        // arbiter's schedule so quiet ticks skip the call entirely.
+        if self.next_remap.is_some_and(|r| r <= t) {
+            if self.arbiter.maybe_remap(t) {
+                self.metrics.record_remap();
+                observer.on_remap(t);
+            }
+            self.next_remap = self.arbiter.next_remap_at_or_after(t + 1);
+        }
+        Some(q_eff)
+    }
+
+    /// Step 2 of the current tick (only valid between [`Self::tick_begin`]
+    /// returning `Some` and [`Self::tick_end`]).
+    fn tick_issue<O: SimObserver>(&mut self, observer: &mut O) {
+        let t = self.tick;
+        // Step 2: issue requests; misses enter the DRAM queue. Bit-ascending
+        // iteration means "for each core" is increasing core id (canonical
+        // order, see module docs).
+        debug_assert_eq!(self.issue_next_count, 0);
+        if self.issue_count > 0 {
+            self.issue_count = 0;
+            for w in 0..self.issue_bits.len() {
+                let mut word = self.issue_bits[w];
+                if word == 0 {
+                    continue;
+                }
+                self.issue_bits[w] = 0;
+                while word != 0 {
+                    let bit = word & word.wrapping_neg();
+                    word ^= bit;
+                    let core = (w as u32) * 64 + bit.trailing_zeros();
+                    let rt = &mut self.cores[core as usize];
+                    let page = GlobalPage(self.flat.page[rt.pos]);
+                    let idx = self.flat.idx[rt.pos];
+                    rt.cur_page = page;
+                    rt.cur_idx = idx;
+                    if self.hbm.contains_idx(idx) {
+                        rt.was_miss = false;
+                        self.pages[idx as usize].pinned += 1;
+                        self.ready_bits[w] |= bit;
+                        self.ready_count += 1;
+                    } else {
+                        rt.was_miss = true;
+                        self.metrics.record_miss();
+                        let pg = &mut self.pages[idx as usize];
+                        if pg.waiter_head == NIL {
+                            pg.waiter_head = core;
+                            pg.waiter_tail = core;
+                            self.waiter_next[core as usize] = NIL;
+                            self.queue_len += 1;
+                            self.arbiter.enqueue(Request {
+                                core,
+                                page,
+                                arrival: t,
+                            });
+                            observer.on_enqueue(t, core, page);
+                        } else {
+                            // Another core already has this fetch in flight
+                            // (shared workloads only): coalesce, appending to
+                            // the chain so landing preserves insertion order.
+                            let tail = pg.waiter_tail;
+                            pg.waiter_tail = core;
+                            self.waiter_next[tail as usize] = core;
+                            self.waiter_next[core as usize] = NIL;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Step 3 of the current tick.
+    fn tick_evict<O: SimObserver>(&mut self, q_eff: usize, observer: &mut O) {
+        let t = self.tick;
+        // Step 3: evict up to q_eff pages when the queue exceeds free
+        // capacity — the machine only makes room for as many fetches as it
+        // can start, so an outage shrinks the eviction budget too. Slots
+        // are reserved for in-flight transfers so their arrival can never
+        // find the HBM full.
+        let mut evicted = 0;
+        while evicted < q_eff
+            && self.queue_len > self.hbm.free_slots().saturating_sub(self.in_flight.len())
+        {
+            let pages = &self.pages;
+            match self
+                .hbm
+                .evict_one_idx(&mut |idx| pages[idx as usize].pinned != 0)
+            {
+                Some((page, _)) => {
+                    evicted += 1;
+                    self.metrics.record_eviction();
+                    observer.on_evict(t, page);
+                }
+                None => break, // every resident page is pinned
+            }
+        }
+    }
+
+    /// Step 4 of the current tick.
+    fn tick_serve<O: SimObserver>(&mut self, observer: &mut O) {
+        let t = self.tick;
+        // Step 4: serve resident requests in increasing core id (canonical
+        // order for free: bit-ascending iteration, regardless of the order
+        // in which fetches landed).
+        if self.ready_count > 0 {
+            self.ready_count = 0;
+            for w in 0..self.ready_bits.len() {
+                let mut word = self.ready_bits[w];
+                if word == 0 {
+                    continue;
+                }
+                self.ready_bits[w] = 0;
+                while word != 0 {
+                    let bit = word & word.wrapping_neg();
+                    word ^= bit;
+                    let core = (w as u32) * 64 + bit.trailing_zeros();
+                    let rt = &mut self.cores[core as usize];
+                    let page = rt.cur_page;
+                    let idx = rt.cur_idx;
+                    let response = t - rt.issue_tick + 1;
+                    let hit = !rt.was_miss;
+                    self.hbm.touch_idx(idx);
+                    self.pages[idx as usize].pinned -= 1;
+                    self.metrics.record_serve(core, response, hit);
+                    observer.on_serve(t, core, page, response, hit);
+                    rt.pos += 1;
+                    if rt.pos == rt.end {
+                        self.remaining -= 1;
+                        self.makespan = self.makespan.max(t + 1);
+                        self.metrics.record_finish(core, t + 1);
+                        observer.on_core_done(t + 1, core);
+                    } else {
+                        rt.issue_tick = t + 1;
+                        self.issue_next_bits[w] |= bit;
+                        self.issue_next_count += 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Step 5 of the current tick (transfer start + land).
+    fn tick_transfer<O: SimObserver>(&mut self, q_eff: usize, observer: &mut O) {
+        let t = self.tick;
+        // Step 5: start up to q transfers on free far channels, then land
+        // the transfers that complete this tick. With far_latency = 1 (the
+        // paper's model) a transfer started now lands now, so the two
+        // phases collapse into the original "fetch up to q pages".
+        if self.queue_len > 0 && q_eff > 0 {
+            // An outage disables the *last* q - q_eff channels for new
+            // transfers, so only the `..q_eff` prefix may be claimed;
+            // in-flight transfers on disabled channels complete normally.
+            let free_channels = self.channel_busy[..q_eff]
+                .iter()
+                .filter(|&&b| b <= t)
+                .count();
+            let room = self.hbm.free_slots().saturating_sub(self.in_flight.len());
+            let n = free_channels.min(room);
+            if n > 0 {
+                self.arbiter.select(n, &mut self.fetch_buf);
+                self.queue_len -= self.fetch_buf.len();
+                for i in 0..self.fetch_buf.len() {
+                    let req = self.fetch_buf[i];
+                    let latency = if self.plan_active {
+                        let (latency, extra, failures) = self.plan.transfer_time(
+                            self.config.far_latency,
+                            t,
+                            req.core,
+                            req.page.0,
+                        );
+                        if extra > 0 {
+                            self.metrics.record_degraded_fetch();
+                            observer.on_fault(
+                                t,
+                                FaultEvent::DegradedFetch {
+                                    core: req.core,
+                                    page: req.page,
+                                    extra_latency: extra,
+                                },
+                            );
+                        }
+                        if failures > 0 {
+                            self.metrics.record_transient_faults(failures);
+                            observer.on_fault(
+                                t,
+                                FaultEvent::TransientFailure {
+                                    core: req.core,
+                                    page: req.page,
+                                    failures,
+                                },
+                            );
+                        }
+                        latency
+                    } else {
+                        self.config.far_latency
+                    };
+                    // Claim a free (enabled) channel.
+                    for b in self.channel_busy[..q_eff].iter_mut() {
+                        if *b <= t {
+                            *b = t + latency;
+                            break;
+                        }
+                    }
+                    self.in_flight.push((t + latency - 1, req));
+                }
+            }
+        }
+        // Land arrivals (including same-tick ones when far_latency == 1) in
+        // the order the transfers started — stable `remove`, not
+        // `swap_remove`, so HBM insertion order is canonical. The list
+        // holds at most q entries, so the shift is negligible.
+        if !self.in_flight.is_empty() {
+            let mut i = 0;
+            while i < self.in_flight.len() {
+                let (arrival, req) = self.in_flight[i];
+                if arrival > t {
+                    i += 1;
+                    continue;
+                }
+                self.in_flight.remove(i);
+                // The fetching core is still parked on this reference, so
+                // its cached `cur_idx` is the page's dense index — no
+                // indexer lookup needed.
+                let idx = self.cores[req.core as usize].cur_idx;
+                self.hbm.insert_idx(req.page, idx);
+                // Promote the whole waiter chain (they all become ready;
+                // the serve loop's bit order restores canonical id order).
+                let pg = &mut self.pages[idx as usize];
+                let mut c = pg.waiter_head;
+                debug_assert!(c != NIL, "every queued fetch has waiters");
+                pg.waiter_head = NIL;
+                pg.waiter_tail = NIL;
+                let mut n_waiters = 0u32;
+                while c != NIL {
+                    self.ready_next_bits[(c / 64) as usize] |= 1u64 << (c % 64);
+                    self.ready_next_count += 1;
+                    n_waiters += 1;
+                    c = self.waiter_next[c as usize];
+                }
+                self.pages[idx as usize].pinned += n_waiters;
+                self.metrics.record_fetch();
+                observer.on_fetch(t, req.core, req.page);
+            }
+        }
+    }
+
+    /// Closes the current tick: end-of-tick sampling, invariant checks,
+    /// worklist swaps, and the tick advance.
+    fn tick_end(&mut self, q_eff: usize) {
+        let t = self.tick;
+        self.metrics.sample_queue_len(self.queue_len);
+        if self.plan_active && self.queue_len > 0 && q_eff == 0 {
+            self.metrics.record_outage_blocked_n(1);
+        }
+        debug_assert_eq!(self.queue_len, self.arbiter.len(), "queue mirror drift");
+        #[cfg(debug_assertions)]
+        self.hbm.check_invariants();
+        // Swap the current/next worklists; the current sets are all-zero
+        // after their drain loops, so the next tick starts from clean
+        // `_next` sets.
+        std::mem::swap(&mut self.issue_bits, &mut self.issue_next_bits);
+        std::mem::swap(&mut self.ready_bits, &mut self.ready_next_bits);
+        self.issue_count = self.issue_next_count;
+        self.issue_next_count = 0;
+        self.ready_count = self.ready_next_count;
+        self.ready_next_count = 0;
+        debug_assert!(self.issue_next_bits.iter().all(|&w| w == 0));
+        debug_assert!(self.ready_next_bits.iter().all(|&w| w == 0));
+        self.tick = t + 1;
     }
 
     /// Executes one tick (steps 1–5). No-op when [`is_done`](Self::is_done).
@@ -986,12 +799,18 @@ impl Engine {
     /// fast-forwards across it (module docs), so one `step` call may
     /// advance [`tick`](Self::tick) by more than one.
     pub fn step<O: SimObserver>(&mut self, observer: &mut O) {
-        self.cell_mut().step(observer);
+        if let Some(q_eff) = self.tick_begin(observer) {
+            self.tick_issue(observer);
+            self.tick_evict(q_eff, observer);
+            self.tick_serve(observer);
+            self.tick_transfer(q_eff, observer);
+            self.tick_end(q_eff);
+        }
     }
 
     /// Runs to completion (or `max_ticks`) and reports.
     pub fn run<O: SimObserver>(mut self, observer: &mut O) -> Report {
-        while !self.is_done() && self.s.tick < self.config.max_ticks {
+        while !self.is_done() && self.tick < self.config.max_ticks {
             self.step(observer);
         }
         self.into_report()
@@ -1004,11 +823,7 @@ impl Engine {
     /// thread.
     pub fn into_report(self) -> Report {
         let truncated = !self.is_done();
-        let makespan = if truncated {
-            self.s.tick
-        } else {
-            self.s.makespan
-        };
+        let makespan = if truncated { self.tick } else { self.makespan };
         self.metrics.finish(makespan, truncated)
     }
 
@@ -1020,11 +835,7 @@ impl Engine {
     /// final report.
     pub fn report_snapshot(&self) -> Report {
         let truncated = !self.is_done();
-        let makespan = if truncated {
-            self.s.tick
-        } else {
-            self.s.makespan
-        };
+        let makespan = if truncated { self.tick } else { self.makespan };
         self.metrics.clone().finish(makespan, truncated)
     }
 
@@ -1040,7 +851,7 @@ impl Engine {
         observer: &mut O,
         scratch: &mut EngineScratch,
     ) -> Report {
-        while !self.is_done() && self.s.tick < self.config.max_ticks {
+        while !self.is_done() && self.tick < self.config.max_ticks {
             self.step(observer);
         }
         self.into_report_reusing(scratch)
@@ -1052,11 +863,7 @@ impl Engine {
     /// them instead of allocating.
     pub fn into_report_reusing(self, scratch: &mut EngineScratch) -> Report {
         let truncated = !self.is_done();
-        let makespan = if truncated {
-            self.s.tick
-        } else {
-            self.s.makespan
-        };
+        let makespan = if truncated { self.tick } else { self.makespan };
         let Engine {
             hbm,
             cores,

@@ -65,7 +65,6 @@ pub mod flat;
 pub mod fxhash;
 pub mod hbm;
 pub mod ids;
-pub mod lockstep;
 pub mod metrics;
 pub mod observer;
 pub mod oracle;
@@ -75,7 +74,6 @@ pub mod rng;
 pub mod slab_list;
 pub mod stats;
 pub mod testkit;
-pub mod triage;
 pub mod workload;
 
 pub use arbitration::{ArbitrationKind, ArbitrationPolicy, Request};
@@ -85,11 +83,9 @@ pub use error::{ConfigError, SimError};
 pub use fault::{DegradationWindow, FaultPlan, OutageWindow, TransientFaults};
 pub use flat::FlatWorkload;
 pub use ids::{CoreId, GlobalPage, LocalPage, Tick};
-pub use lockstep::{BatchCell, BatchEngine, BatchScratch};
 pub use metrics::{CoreReport, FaultCounters, Report, ResponseSummary};
 pub use observer::{FaultEvent, NoopObserver, RecordingObserver, SimObserver};
 pub use oracle::OracleEngine;
 pub use page_index::PageIndexer;
 pub use replacement::{ReplacementKind, ReplacementPolicy};
-pub use triage::{first_divergence, DivergenceReport, EventDivergence};
 pub use workload::{Trace, Workload};

@@ -391,80 +391,6 @@ pub fn check_conformance_with_faults(
     Ok(engine_report)
 }
 
-/// Runs a batch of `(config, plan)` cells over one shared workload through
-/// [`crate::lockstep::BatchEngine`], recording every cell's events.
-pub fn run_batch_with_faults(
-    cells: &[(SimConfig, FaultPlan)],
-    workload: &Workload,
-) -> (Vec<Report>, Vec<RecordingObserver>) {
-    let flat = std::sync::Arc::new(crate::flat::FlatWorkload::new(workload));
-    let batch_cells: Vec<crate::lockstep::BatchCell> = cells
-        .iter()
-        .map(|(config, faults)| crate::lockstep::BatchCell {
-            config: *config,
-            faults: faults.clone(),
-        })
-        .collect();
-    let engine = crate::lockstep::BatchEngine::try_new(flat, &batch_cells)
-        .unwrap_or_else(|e| panic!("invalid batch cell: {e}"));
-    let mut observers: Vec<RecordingObserver> = vec![RecordingObserver::default(); cells.len()];
-    let reports = engine.run(&mut observers);
-    (reports, observers)
-}
-
-/// Runs a batch of cells through [`crate::lockstep::BatchEngine`] and
-/// verifies every cell agrees **bit-identically** with both the scalar
-/// [`Engine`] and the [`OracleEngine`]: reports (floats by bit pattern),
-/// full event streams, and per-core response histograms. Returns the
-/// reports on success, a divergence description naming the cell index on
-/// failure.
-pub fn check_batch_conformance(
-    cells: &[(SimConfig, FaultPlan)],
-    workload: &Workload,
-) -> Result<Vec<Report>, String> {
-    let (batch_reports, batch_obs) = run_batch_with_faults(cells, workload);
-    let p = workload.cores();
-    for (i, (config, plan)) in cells.iter().enumerate() {
-        let err = |msg: String| format!("batch cell {i} ({config:?}, faults {plan:?}): {msg}");
-        let (engine_report, engine_obs) = run_engine_with_faults(*config, plan.clone(), workload);
-        compare_reports(&batch_reports[i], &engine_report)
-            .map_err(|m| err(format!("vs Engine: {m}")))?;
-        compare_events(&batch_obs[i], &engine_obs).map_err(|m| err(format!("vs Engine: {m}")))?;
-        let (oracle_report, oracle_obs) = run_oracle_with_faults(*config, plan.clone(), workload);
-        compare_reports(&batch_reports[i], &oracle_report)
-            .map_err(|m| err(format!("vs OracleEngine: {m}")))?;
-        compare_events(&batch_obs[i], &oracle_obs)
-            .map_err(|m| err(format!("vs OracleEngine: {m}")))?;
-        let batch_hists = response_histograms(&batch_obs[i], p);
-        let engine_hists = response_histograms(&engine_obs, p);
-        if batch_hists != engine_hists {
-            return Err(err("per-core response histograms differ".to_string()));
-        }
-    }
-    Ok(batch_reports)
-}
-
-/// Like [`check_batch_conformance`] but panics with full batch context on
-/// any divergence.
-pub fn assert_batch_conformance(
-    cells: &[(SimConfig, FaultPlan)],
-    workload: &Workload,
-) -> Vec<Report> {
-    match check_batch_conformance(cells, workload) {
-        Ok(reports) => reports,
-        Err(msg) => panic!(
-            "BatchEngine diverges from the scalar engines!\n{msg}\nworkload ({} cores, shared: {}): {:?}",
-            workload.cores(),
-            workload.is_shared(),
-            workload
-                .traces()
-                .iter()
-                .map(|t| t.as_slice().to_vec())
-                .collect::<Vec<_>>(),
-        ),
-    }
-}
-
 /// Like [`check_conformance`] but panics with full cell context on any
 /// divergence. Returns the shared report.
 pub fn assert_conformance(config: SimConfig, workload: &Workload) -> Report {

@@ -19,9 +19,9 @@
 //!    fault-free runs must be all-zero.
 
 use hbm_core::testkit::{
-    all_arbitrations, all_replacements, assert_batch_conformance, assert_conformance_with_faults,
-    check_batch_conformance, check_conformance_with_faults, compare_events, compare_reports,
-    random_cell, random_fault_plan, random_workload, run_engine, run_engine_with_faults,
+    all_arbitrations, all_replacements, assert_conformance_with_faults,
+    check_conformance_with_faults, compare_events, compare_reports, random_cell, random_fault_plan,
+    random_workload, run_engine, run_engine_with_faults,
 };
 use hbm_core::{FaultEvent, FaultPlan, SimConfig, Workload};
 use proptest::prelude::*;
@@ -214,113 +214,6 @@ fn post_makespan_plan_is_inert() {
     assert!(faulty.faults.is_zero());
     assert!(obs.faults.is_empty());
     assert_conformance_with_faults(config, plan, &w);
-}
-
-// ---------------------------------------------------------------------------
-// Lockstep axis: the same fault semantics through `BatchEngine`.
-// ---------------------------------------------------------------------------
-
-/// The seeded arbitration × fault-plan grid, batched: for each workload
-/// shape, every (arbitration, plan) combination becomes one cell of a
-/// single heterogeneous lockstep batch — cells diverge in outage windows,
-/// degradations, transient models, policies, and far latencies, and every
-/// one must stay bit-identical to both scalar engines.
-#[test]
-fn seeded_fault_grid_batched() {
-    let workloads = [
-        random_workload(31, 4, 8, 20, false),
-        // k < p: the pinning-guard corner must also hold under outages.
-        Workload::from_refs(vec![vec![0, 1]; 6]),
-    ];
-    let ks = [8usize, 2];
-    let mut cells_run = 0usize;
-    for (wi, w) in workloads.iter().enumerate() {
-        let mut id = 0u64;
-        let cells: Vec<(SimConfig, FaultPlan)> = all_arbitrations(5)
-            .into_iter()
-            .flat_map(|arbitration| {
-                grid_plans()
-                    .into_iter()
-                    .map(move |plan| (arbitration, plan))
-            })
-            .map(|(arbitration, plan)| {
-                let config = SimConfig {
-                    hbm_slots: ks[wi],
-                    channels: 2,
-                    arbitration,
-                    replacement: all_replacements()[id as usize % 4],
-                    far_latency: 1 + (id % 3),
-                    seed: 0xfa_5eed ^ id,
-                    max_ticks: 100_000,
-                };
-                id += 1;
-                (config, plan)
-            })
-            .collect();
-        assert_eq!(cells.len(), 63, "9 arbitrations x 7 plan shapes");
-        assert_batch_conformance(&cells, w);
-        cells_run += cells.len();
-    }
-    assert!(cells_run >= 100, "ran {cells_run} cells, expected >= 100");
-}
-
-/// A full outage (`q_eff = 0` for the whole run's prefix) in exactly one
-/// cell of a batch: that cell stalls and drains late while its
-/// fault-free neighbours — including one with the *same* config — proceed
-/// untouched, all bit-identical to their singleton scalar runs.
-#[test]
-fn full_outage_in_one_cell_only() {
-    let w = Workload::from_refs(vec![vec![0, 1, 2], vec![3, 4, 5], vec![0, 2, 4]]);
-    let config = SimConfig {
-        hbm_slots: 8,
-        channels: 2,
-        max_ticks: 10_000,
-        ..SimConfig::default()
-    };
-    let cells = vec![
-        (config, FaultPlan::default()),
-        (config, FaultPlan::new().outage(0, 60, usize::MAX)),
-        (config, FaultPlan::default()),
-        (config, FaultPlan::new().degradation(0, 30, 2)),
-    ];
-    let reports = assert_batch_conformance(&cells, &w);
-    assert_eq!(
-        reports[0].makespan, reports[2].makespan,
-        "identical fault-free cells must agree"
-    );
-    assert!(
-        reports[1].makespan > 60,
-        "the outage cell can serve nothing before tick 60 (makespan {})",
-        reports[1].makespan
-    );
-    assert!(
-        reports[1].faults.outage_blocked_ticks >= 59,
-        "blocked ticks accumulate only in the outage cell (got {})",
-        reports[1].faults.outage_blocked_ticks
-    );
-    assert!(reports[0].faults.is_zero() && reports[2].faults.is_zero());
-    assert!(reports[3].faults.degraded_fetches > 0);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Heterogeneous per-cell fault plans over one workload, batched: any
-    /// generated batch stays bit-identical to the scalar engines.
-    #[test]
-    fn prop_heterogeneous_fault_batches_conform(
-        workload_seed in 0u64..1u64 << 32,
-        plan_seeds in prop::collection::vec(0u64..1u64 << 32, 1..5),
-    ) {
-        let cell = random_cell(workload_seed);
-        let cells: Vec<(SimConfig, FaultPlan)> = plan_seeds
-            .iter()
-            .map(|&s| (cell.config, random_fault_plan(s, 300)))
-            .collect();
-        if let Err(msg) = check_batch_conformance(&cells, &cell.workload) {
-            prop_assert!(false, "lockstep fault divergence: {msg}");
-        }
-    }
 }
 
 proptest! {

@@ -470,7 +470,10 @@ pub fn rust_literals(run: &CalibrationRun) -> String {
     out.push('\n');
     out.push_str(&lit_table("kappa_response", &run.fit.kappa_response));
     out.push('\n');
-    out.push_str(&lit_table("kappa_inconsistency", &run.fit.kappa_inconsistency));
+    out.push_str(&lit_table(
+        "kappa_inconsistency",
+        &run.fit.kappa_inconsistency,
+    ));
     out.push_str("\n};\n\n");
     out.push_str("pub static ENVELOPE: Envelope = Envelope {\n");
     out.push_str(&lit_metric("makespan", &run.envelope.makespan));
@@ -512,7 +515,12 @@ mod tests {
                 .position(|w| same_traces(w, &cell.workload))
                 .unwrap();
             let r = SimBuilder::from_config(cell.config).run(&cell.workload);
-            corpus.push(idx[si], model_cfg(&cell.config, FaultSummary::NONE), true, &r);
+            corpus.push(
+                idx[si],
+                model_cfg(&cell.config, FaultSummary::NONE),
+                true,
+                &r,
+            );
         }
         corpus
     }

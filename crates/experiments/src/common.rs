@@ -12,8 +12,8 @@ use hbm_traces::{TraceOptions, WorkloadSpec};
 use serde::Serialize;
 
 pub use hbm_serve::pool::{
-    run_batch_budgeted_flat, run_batch_flat, run_cell, run_cell_budgeted, run_cell_budgeted_flat,
-    run_cell_flat, CellBudget, ScratchPool, SimSettings, TracePool,
+    run_cell, run_cell_budgeted, run_cell_budgeted_flat, run_cell_flat, run_sim_budgeted_flat,
+    CellBudget, ScratchPool, SimSettings, TracePool,
 };
 
 /// Experiment scale. The paper's full parameters produce multi-hour runs;

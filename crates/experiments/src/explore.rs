@@ -47,11 +47,11 @@
 //! contains no timestamps; wall-clock numbers go to stderr only.
 
 use crate::common::{
-    run_batch_budgeted_flat, CellBudget, ResultTable, ScratchPool, SimSettings, TracePool,
+    run_sim_budgeted_flat, CellBudget, ResultTable, ScratchPool, SimSettings, TracePool,
 };
 use crate::journal::{json_hex, JournalFile, JournalRecord};
 use hbm_core::fxhash::FxHasher;
-use hbm_core::{ArbitrationKind, BatchScratch, FaultPlan, ReplacementKind};
+use hbm_core::{ArbitrationKind, FaultPlan, ReplacementKind};
 use hbm_model::calibration::ENVELOPE;
 use hbm_model::predict::{arb_index, predict, ModelConfig, Prediction, ARB_KINDS};
 use hbm_serve::json::{fmt_f64, Json};
@@ -59,7 +59,7 @@ use hbm_serve::proto::{parse_arbitration, parse_replacement, parse_workload};
 use hbm_serve::shutdown::ShutdownFlag;
 use hbm_traces::analysis::WorkloadSummary;
 use hbm_traces::{TraceOptions, WorkloadSpec};
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap};
 use std::hash::Hasher;
 use std::time::Duration;
 
@@ -126,7 +126,9 @@ fn expand_axis(v: &Json, field: &str) -> Result<Vec<u64>, String> {
             .ok_or_else(|| format!("grid spec '{field}.steps': expected an integer"))?;
         let scale = v.get("scale").and_then(Json::as_str).unwrap_or("log");
         if steps == 0 || max < min {
-            return Err(format!("grid spec '{field}': need steps >= 1 and max >= min"));
+            return Err(format!(
+                "grid spec '{field}': need steps >= 1 and max >= min"
+            ));
         }
         if scale == "log" && min == 0 {
             return Err(format!("grid spec '{field}': log scale needs min >= 1"));
@@ -140,7 +142,9 @@ fn expand_axis(v: &Json, field: &str) -> Result<Vec<u64>, String> {
                     "log" => min as f64 * (max as f64 / min as f64).powf(t),
                     "linear" => min as f64 + (max as f64 - min as f64) * t,
                     other => {
-                        return Err(format!("grid spec '{field}.scale': unknown scale '{other}'"))
+                        return Err(format!(
+                            "grid spec '{field}.scale': unknown scale '{other}'"
+                        ))
                     }
                 };
                 vals.push(x.round() as u64);
@@ -162,7 +166,7 @@ fn expand_axis(v: &Json, field: &str) -> Result<Vec<u64>, String> {
 /// [`expand_axis`] for axes whose values must be positive `usize`s.
 fn expand_axis_usize(v: &Json, field: &str) -> Result<Vec<usize>, String> {
     let vals = expand_axis(v, field)?;
-    if vals.iter().any(|&x| x == 0) {
+    if vals.contains(&0) {
         return Err(format!("grid spec '{field}': values must be >= 1"));
     }
     Ok(vals.into_iter().map(|x| x as usize).collect())
@@ -202,7 +206,7 @@ impl ExploreSpec {
         let far_latency = match v.get("far_latency") {
             Some(fv) => {
                 let vals = expand_axis(fv, "far_latency")?;
-                if vals.iter().any(|&x| x == 0) {
+                if vals.contains(&0) {
                     return Err("grid spec 'far_latency': values must be >= 1".into());
                 }
                 vals
@@ -479,9 +483,7 @@ pub fn rank(spec: &ExploreSpec, caps: &RankCaps) -> RankOutcome {
                                 let pred = predict(&summary, &cfg);
                                 // Strict `<` keeps the first-seen policy on
                                 // ties — deterministic in spec order.
-                                if slot
-                                    .map_or(true, |b| pred.makespan.est < b.pred.makespan.est)
-                                {
+                                if slot.is_none_or(|b| pred.makespan.est < b.pred.makespan.est) {
                                     *slot = Some(GroupCell {
                                         arb,
                                         rep,
@@ -557,6 +559,7 @@ pub fn sim_targets(outcome: &RankOutcome, cap: usize) -> Vec<RankedCell> {
 
 /// Hash key identifying one explore cell in the journal. Two cells
 /// collide only if every input that affects the simulation matches.
+#[allow(clippy::too_many_arguments)]
 pub fn explore_cell_key(
     workload: &str,
     p: usize,
@@ -650,7 +653,7 @@ pub struct ExploreRunOptions {
     pub threads: usize,
     /// Artificial per-cell delay (the CI kill-window lever).
     pub throttle: Option<Duration>,
-    /// Cooperative cancellation; a tripped flag stops scheduling groups.
+    /// Cooperative cancellation; a tripped flag stops scheduling cells.
     pub cancel: Option<ShutdownFlag>,
 }
 
@@ -668,11 +671,11 @@ pub struct SimOutcome {
 
 /// Simulates the selected cells with crash-safe journaling.
 ///
-/// Targets are grouped by (workload, p) — each group shares one memoized
-/// [`FlatWorkload`](hbm_core::FlatWorkload) and runs as one lockstep
-/// batch — and every completed cell is journaled (and flushed) the moment
-/// its group finishes. Journaled targets are skipped entirely, so a
-/// resumed exploration re-simulates only the gap.
+/// Each unjournaled target is one parallel work item: it fetches its
+/// (workload, p) memoized [`FlatWorkload`](hbm_core::FlatWorkload), runs,
+/// and is journaled (and flushed) the moment it finishes. Journaled
+/// targets are skipped entirely, so a resumed exploration re-simulates
+/// only the gap.
 pub fn simulate(
     spec: &ExploreSpec,
     targets: &[RankedCell],
@@ -681,24 +684,22 @@ pub fn simulate(
 ) -> SimOutcome {
     let mut results = HashMap::new();
     let mut resumed = 0;
-    // Unjournaled targets grouped by (workload, p); BTreeMap keeps the
-    // group order deterministic.
-    let mut groups: BTreeMap<(usize, usize), Vec<(u64, RankedCell)>> = BTreeMap::new();
+    let mut todo: Vec<(u64, RankedCell)> = Vec::new();
     for cell in targets {
         let key = cell_key_of(spec, cell);
         if let Some(r) = journal.get(key) {
             results.insert(key, *r);
             resumed += 1;
         } else {
-            groups.entry((cell.wi, cell.p)).or_default().push((key, *cell));
+            todo.push((key, *cell));
         }
     }
     // One trace pool per workload axis, generated at the largest p any of
-    // its groups needs (smaller p reuses the prefix of the traces).
+    // its cells needs (smaller p reuses the prefix of the traces).
     let mut pool_p: HashMap<usize, usize> = HashMap::new();
-    for &(wi, p) in groups.keys() {
-        let e = pool_p.entry(wi).or_insert(p);
-        *e = (*e).max(p);
+    for (_, c) in &todo {
+        let e = pool_p.entry(c.wi).or_insert(c.p);
+        *e = (*e).max(c.p);
     }
     let pools: HashMap<usize, TracePool> = pool_p
         .iter()
@@ -711,67 +712,56 @@ pub fn simulate(
         })
         .collect();
 
-    let glist: Vec<((usize, usize), Vec<(u64, RankedCell)>)> = groups.into_iter().collect();
     let workers = if opts.threads == 0 {
         hbm_par::default_threads()
     } else {
         opts.threads
     };
-    let scratches: ScratchPool<BatchScratch> = ScratchPool::new();
-    let fresh = hbm_par::try_parallel_map_with(&glist, workers, |((wi, p), gcells)| {
+    let scratches = ScratchPool::new();
+    let fresh = hbm_par::try_parallel_map_with(&todo, workers, |(key, c)| {
         if opts.cancel.as_ref().is_some_and(|c| c.is_set()) {
             return Ok(None);
         }
         if let Some(throttle) = opts.throttle {
-            std::thread::sleep(throttle * gcells.len() as u32);
+            std::thread::sleep(throttle);
         }
-        let flat = pools[wi].flat(*p);
-        let settings: Vec<SimSettings> = gcells
-            .iter()
-            .map(|(_, c)| SimSettings {
-                k: c.k,
-                q: c.q,
-                arbitration: c.arbitration,
-                replacement: c.replacement,
-                far_latency: Some(c.far),
-                seed: spec.sim_seed,
-                faults: FaultPlan::default(),
-            })
-            .collect();
-        let reports = scratches
-            .with(|scratch| run_batch_budgeted_flat(&flat, &settings, opts.budget, scratch))
+        let flat = pools[&c.wi].flat(c.p);
+        let settings = SimSettings {
+            k: c.k,
+            q: c.q,
+            arbitration: c.arbitration,
+            replacement: c.replacement,
+            far_latency: Some(c.far),
+            seed: spec.sim_seed,
+            faults: FaultPlan::default(),
+        };
+        let r = scratches
+            .with(|scratch| run_sim_budgeted_flat(&flat, &settings, opts.budget, scratch))
             .map_err(|e| e.to_string())?;
-        let mut out = Vec::with_capacity(gcells.len());
-        for ((key, _), r) in gcells.iter().zip(&reports) {
-            let rec = ExploreRecord {
-                makespan: r.makespan,
-                mean_response: r.response.mean,
-                inconsistency: r.response.inconsistency,
-                hit_rate: r.hit_rate,
-                truncated: r.truncated,
-            };
-            journal
-                .record(*key, &rec)
-                .map_err(|e| format!("journal write failed: {e}"))?;
-            out.push(rec);
-        }
-        Ok::<Option<Vec<ExploreRecord>>, String>(Some(out))
+        let rec = ExploreRecord {
+            makespan: r.makespan,
+            mean_response: r.response.mean,
+            inconsistency: r.response.inconsistency,
+            hit_rate: r.hit_rate,
+            truncated: r.truncated,
+        };
+        journal
+            .record(*key, &rec)
+            .map_err(|e| format!("journal write failed: {e}"))?;
+        Ok::<Option<ExploreRecord>, String>(Some(rec))
     });
 
     let mut cancelled = 0;
     let mut failures = Vec::new();
-    for (((wi, p), gcells), res) in glist.iter().zip(fresh) {
+    for ((key, c), res) in todo.iter().zip(fresh) {
+        let at = format!("cell (workload {}, p={}, k={}, q={})", c.wi, c.p, c.k, c.q);
         match res {
-            Ok(Ok(Some(recs))) => {
-                for ((key, _), rec) in gcells.iter().zip(recs) {
-                    results.insert(*key, rec);
-                }
+            Ok(Ok(Some(rec))) => {
+                results.insert(*key, rec);
             }
-            Ok(Ok(None)) => cancelled += gcells.len(),
-            Ok(Err(e)) => failures.push(format!("group (workload {wi}, p={p}): {e}")),
-            Err(panic) => {
-                failures.push(format!("group (workload {wi}, p={p}) panicked: {}", panic.message))
-            }
+            Ok(Ok(None)) => cancelled += 1,
+            Ok(Err(e)) => failures.push(format!("{at}: {e}")),
+            Err(panic) => failures.push(format!("{at} panicked: {}", panic.message)),
         }
     }
     SimOutcome {
@@ -1146,9 +1136,7 @@ mod tests {
         assert_eq!(got, rec);
         assert_eq!(got.mean_response.to_bits(), rec.mean_response.to_bits());
         // Torn line: must not parse.
-        assert!(
-            <ExploreRecord as JournalRecord>::parse_line(&line[..line.len() / 2]).is_none()
-        );
+        assert!(<ExploreRecord as JournalRecord>::parse_line(&line[..line.len() / 2]).is_none());
     }
 
     #[test]
@@ -1167,11 +1155,56 @@ mod tests {
             0,
         );
         let variants = [
-            k("x", 2, 8, 1, 4, ArbitrationKind::Fifo, ReplacementKind::Lru, 0),
-            k("w", 3, 8, 1, 4, ArbitrationKind::Fifo, ReplacementKind::Lru, 0),
-            k("w", 2, 9, 1, 4, ArbitrationKind::Fifo, ReplacementKind::Lru, 0),
-            k("w", 2, 8, 2, 4, ArbitrationKind::Fifo, ReplacementKind::Lru, 0),
-            k("w", 2, 8, 1, 5, ArbitrationKind::Fifo, ReplacementKind::Lru, 0),
+            k(
+                "x",
+                2,
+                8,
+                1,
+                4,
+                ArbitrationKind::Fifo,
+                ReplacementKind::Lru,
+                0,
+            ),
+            k(
+                "w",
+                3,
+                8,
+                1,
+                4,
+                ArbitrationKind::Fifo,
+                ReplacementKind::Lru,
+                0,
+            ),
+            k(
+                "w",
+                2,
+                9,
+                1,
+                4,
+                ArbitrationKind::Fifo,
+                ReplacementKind::Lru,
+                0,
+            ),
+            k(
+                "w",
+                2,
+                8,
+                2,
+                4,
+                ArbitrationKind::Fifo,
+                ReplacementKind::Lru,
+                0,
+            ),
+            k(
+                "w",
+                2,
+                8,
+                1,
+                5,
+                ArbitrationKind::Fifo,
+                ReplacementKind::Lru,
+                0,
+            ),
             k(
                 "w",
                 2,
@@ -1192,7 +1225,16 @@ mod tests {
                 ReplacementKind::Clock,
                 0,
             ),
-            k("w", 2, 8, 1, 4, ArbitrationKind::Fifo, ReplacementKind::Lru, 1),
+            k(
+                "w",
+                2,
+                8,
+                1,
+                4,
+                ArbitrationKind::Fifo,
+                ReplacementKind::Lru,
+                1,
+            ),
         ];
         for (i, v) in variants.iter().enumerate() {
             assert_ne!(base, *v, "variant {i} collided");

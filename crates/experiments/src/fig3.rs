@@ -5,8 +5,8 @@
 //! Priority starves threads. FIFO yields a higher makespan by as much as
 //! 40×" — and the gap scales linearly with thread count.
 
-use crate::common::{f3, run_batch_flat, ResultTable, Scale, SimSettings};
-use hbm_core::{ArbitrationKind, BatchScratch, FlatWorkload};
+use crate::common::{f3, run_cell_flat, ResultTable, Scale};
+use hbm_core::{ArbitrationKind, EngineScratch, FlatWorkload};
 use hbm_traces::adversarial::{cyclic_workload, figure3_hbm_slots};
 use serde::Serialize;
 use std::sync::Arc;
@@ -66,20 +66,18 @@ pub fn run_cells(scale: Scale, seed: u64) -> Vec<Fig3Cell> {
     let ps = thread_counts(scale);
     hbm_par::parallel_map(&ps, |&p| {
         // Flatten once per p; both policy cells replay the same shared
-        // workload as one two-cell lockstep batch over SoA columns.
+        // workload, the second reusing the first's scratch buffers.
         let flat = Arc::new(FlatWorkload::new(&cyclic_workload(p, pages, reps)));
         let k = figure3_hbm_slots(p, pages, 4);
-        let settings = [
-            SimSettings::new(k, 1, ArbitrationKind::Fifo, seed),
-            SimSettings::new(k, 1, ArbitrationKind::Priority, seed),
-        ];
-        let reports = run_batch_flat(&flat, &settings, &mut BatchScratch::default());
+        let mut scratch = EngineScratch::default();
+        let fifo = run_cell_flat(&flat, k, 1, ArbitrationKind::Fifo, seed, &mut scratch);
+        let prio = run_cell_flat(&flat, k, 1, ArbitrationKind::Priority, seed, &mut scratch);
         Fig3Cell {
             p,
             k,
-            fifo_makespan: reports[0].makespan,
-            priority_makespan: reports[1].makespan,
-            fifo_hit_rate: reports[0].hit_rate,
+            fifo_makespan: fifo.makespan,
+            priority_makespan: prio.makespan,
+            fifo_hit_rate: fifo.hit_rate,
         }
     })
 }

@@ -19,10 +19,10 @@
 //!   process killed mid-append leaves at most one partial trailing line,
 //!   which is ignored; that cell simply re-runs.
 
-use crate::common::{run_batch_budgeted_flat, CellBudget, ScratchPool, SimSettings, TracePool};
+use crate::common::{run_cell_budgeted_flat, CellBudget, ScratchPool, TracePool};
 use crate::sweep::RatioCell;
 use hbm_core::fxhash::FxHasher;
-use hbm_core::{ArbitrationKind, BatchScratch};
+use hbm_core::ArbitrationKind;
 use hbm_serve::json::{fmt_f64, Json};
 use hbm_serve::shutdown::ShutdownFlag;
 use std::collections::HashMap;
@@ -252,16 +252,12 @@ pub struct SweepOutcome {
 
 /// Runs the (threads × hbm_sizes) ratio sweep with crash-safe journaling.
 ///
-/// Cells already present in `journal` are skipped. The remaining cells
-/// are grouped by thread count — every group shares one memoized
-/// [`FlatWorkload`] — and each group runs as one lockstep batch through
-/// the SoA engine, `2 × |group|` simulation cells wide (FIFO and
-/// challenger per k). Every completed cell is journaled (and flushed) the
-/// moment its group finishes; a resumed group re-batches only its
-/// unjournaled cells, which is bit-identical by the batch-split
-/// invariance the lockstep differential suite enforces. A group whose
-/// worker panics or whose config is rejected fails alone — its cells
-/// become [`CellFailure`]s and every other group still completes. Output
+/// Cells already present in `journal` are skipped. Each remaining cell is
+/// one parallel work item: it fetches its thread count's memoized
+/// [`FlatWorkload`](hbm_core::FlatWorkload), runs FIFO and the
+/// challenger, and is journaled (and flushed) the moment it finishes. A
+/// cell whose worker panics or whose config is rejected fails alone — it
+/// becomes a [`CellFailure`] and every other cell still completes. Output
 /// order is deterministic regardless of which cells resumed, so fresh and
 /// resumed runs of the same grid yield identical `cells`.
 #[allow(clippy::too_many_arguments)]
@@ -282,111 +278,75 @@ pub fn run_journaled_sweep(
         .map(|(p, k)| (cell_key(tag, p, k, q, seed, challenger(k)), p, k))
         .collect();
 
-    // Unjournaled cells, grouped by p (the grid is p-major, so groups are
-    // contiguous runs). Each group is one batch over one shared flat.
-    let mut groups: Vec<(usize, Vec<(u64, usize)>)> = Vec::new();
-    for &(key, p, k) in &grid {
-        if journal.get(key).is_some() {
-            continue;
-        }
-        match groups.last_mut() {
-            Some((gp, cells)) if *gp == p => cells.push((key, k)),
-            _ => groups.push((p, vec![(key, k)])),
-        }
-    }
-    let todo: usize = groups.iter().map(|(_, cells)| cells.len()).sum();
-    let resumed = grid.len() - todo;
+    let todo: Vec<(u64, usize, usize)> = grid
+        .iter()
+        .copied()
+        .filter(|&(key, _, _)| journal.get(key).is_none())
+        .collect();
+    let resumed = grid.len() - todo.len();
 
     let workers = if opts.threads == 0 {
         hbm_par::default_threads()
     } else {
         opts.threads
     };
-    let scratches: ScratchPool<BatchScratch> = ScratchPool::new();
-    let fresh = hbm_par::try_parallel_map_with(&groups, workers, |(p, gcells)| {
-        // Checked once per group, before any work: a tripped flag means
-        // none of the group's cells start. Groups already past this point
-        // run to completion and are journaled (drain-and-flush), so
-        // resuming after a cancel re-runs only genuinely unstarted cells.
+    let scratches = ScratchPool::new();
+    let fresh = hbm_par::try_parallel_map_with(&todo, workers, |&(key, p, k)| {
+        // Checked once per cell, before any work: a tripped flag means the
+        // cell never starts. Cells already past this point run to
+        // completion and are journaled (drain-and-flush), so resuming
+        // after a cancel re-runs only genuinely unstarted cells.
         if opts.cancel.as_ref().is_some_and(|c| c.is_set()) {
             return Ok(None);
         }
         if let Some(throttle) = opts.throttle {
-            // Per-cell pacing (the CI resume-smoke contract), paid up
-            // front since the batch runs the whole group at once.
-            std::thread::sleep(throttle * gcells.len() as u32);
+            // Per-cell pacing (the CI resume-smoke contract).
+            std::thread::sleep(throttle);
         }
-        let flat = pool.flat(*p);
-        let settings: Vec<SimSettings> = gcells
-            .iter()
-            .flat_map(|&(_, k)| {
-                [
-                    SimSettings::new(k, q, ArbitrationKind::Fifo, seed),
-                    SimSettings::new(k, q, challenger(k), seed),
-                ]
-            })
-            .collect();
-        let reports = scratches
-            .with(|scratch| run_batch_budgeted_flat(&flat, &settings, opts.budget, scratch))?;
-        let mut out = Vec::with_capacity(gcells.len());
-        for (&(key, k), pair) in gcells.iter().zip(reports.chunks_exact(2)) {
-            let cell = RatioCell {
-                p: *p,
+        let flat = pool.flat(p);
+        let (fifo, chal) = scratches.with(|scratch| {
+            let fifo = run_cell_budgeted_flat(
+                &flat,
                 k,
-                fifo_makespan: pair[0].makespan,
-                challenger_makespan: pair[1].makespan,
-                fifo_hit_rate: pair[0].hit_rate,
-                challenger_hit_rate: pair[1].hit_rate,
-                truncated: pair[0].truncated || pair[1].truncated,
-            };
-            journal.record(key, &cell).map_err(CellError::Io)?;
-            out.push(cell);
-        }
-        Ok::<Option<Vec<RatioCell>>, CellError>(Some(out))
+                q,
+                ArbitrationKind::Fifo,
+                seed,
+                opts.budget,
+                scratch,
+            )?;
+            let chal =
+                run_cell_budgeted_flat(&flat, k, q, challenger(k), seed, opts.budget, scratch)?;
+            Ok::<_, hbm_core::SimError>((fifo, chal))
+        })?;
+        let cell = RatioCell::from_reports(p, k, &fifo, &chal);
+        journal.record(key, &cell).map_err(CellError::Io)?;
+        Ok::<Option<RatioCell>, CellError>(Some(cell))
     });
 
-    let mut done: HashMap<u64, Result<Option<RatioCell>, String>> = HashMap::new();
-    for ((p, gcells), res) in groups.iter().zip(fresh) {
-        match res {
-            Ok(Ok(Some(cells))) => {
-                for (&(key, _), cell) in gcells.iter().zip(cells) {
-                    done.insert(key, Ok(Some(cell)));
-                }
-            }
-            Ok(Ok(None)) => {
-                for &(key, _) in gcells {
-                    done.insert(key, Ok(None));
-                }
-            }
-            Ok(Err(e)) => {
-                for &(key, k) in gcells {
-                    done.insert(key, Err(format!("cell (p={p}, k={k}): {e}")));
-                }
-            }
-            Err(panic) => {
-                for &(key, k) in gcells {
-                    done.insert(
-                        key,
-                        Err(format!("cell (p={p}, k={k}) panicked: {}", panic.message)),
-                    );
-                }
-            }
-        }
-    }
-
+    // `todo` is a grid-ordered subsequence, so its results merge back in
+    // one pass.
+    let mut fresh = todo.iter().map(|&(key, _, _)| key).zip(fresh).peekable();
     let mut cells = Vec::with_capacity(grid.len());
     let mut failures = Vec::new();
     let mut cancelled = 0;
     for &(key, p, k) in &grid {
-        if let Some(cell) = journal.get(key) {
-            cells.push(*cell);
-        } else {
-            match done.remove(&key) {
-                Some(Ok(Some(cell))) => cells.push(cell),
-                Some(Ok(None)) => cancelled += 1,
-                Some(Err(reason)) => failures.push(CellFailure { p, k, reason }),
-                None => unreachable!("every non-journaled cell was scheduled"),
-            }
+        let Some((_, res)) = fresh.next_if(|&(fresh_key, _)| fresh_key == key) else {
+            cells.push(*journal.get(key).expect("unscheduled cells are journaled"));
+            continue;
+        };
+        match res {
+            Ok(Ok(Some(cell))) => cells.push(cell),
+            Ok(Ok(None)) => cancelled += 1,
+            Ok(Err(e)) => failures.push(CellFailure {
+                p,
+                k,
+                reason: format!("cell (p={p}, k={k}): {e}"),
+            }),
+            Err(panic) => failures.push(CellFailure {
+                p,
+                k,
+                reason: format!("cell (p={p}, k={k}) panicked: {}", panic.message),
+            }),
         }
     }
     SweepOutcome {

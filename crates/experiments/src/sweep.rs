@@ -5,9 +5,9 @@
 //! in Figure 2 and Dynamic Priority (T = 10k) in Figure 4. Values above 1.0
 //! favour the challenger.
 
-use crate::common::{run_batch_flat, ScratchPool, SimSettings, TracePool};
+use crate::common::{run_cell_flat, ScratchPool, TracePool};
 use crate::plot::{AsciiPlot, Series};
-use hbm_core::{ArbitrationKind, BatchScratch};
+use hbm_core::{ArbitrationKind, Report};
 use serde::Serialize;
 
 /// One sweep cell: a (p, k) pair with both policies' outcomes.
@@ -31,6 +31,19 @@ pub struct RatioCell {
 }
 
 impl RatioCell {
+    /// The cell at `(p, k)` from its FIFO and challenger runs.
+    pub fn from_reports(p: usize, k: usize, fifo: &Report, challenger: &Report) -> RatioCell {
+        RatioCell {
+            p,
+            k,
+            fifo_makespan: fifo.makespan,
+            challenger_makespan: challenger.makespan,
+            fifo_hit_rate: fifo.hit_rate,
+            challenger_hit_rate: challenger.hit_rate,
+            truncated: fifo.truncated || challenger.truncated,
+        }
+    }
+
     /// `makespan(FIFO) / makespan(challenger)` — Figure 2/4's y-axis.
     /// `None` when the challenger makespan is 0 (an empty-workload cell),
     /// where the ratio is undefined.
@@ -69,40 +82,24 @@ pub fn ratio_sweep(
     q: usize,
     seed: u64,
 ) -> Vec<RatioCell> {
-    // All cells at one thread count replay the same memoized flat
-    // workload, so each p runs as one lockstep batch (FIFO and challenger
-    // interleaved, k-major within the batch) through the SoA engine —
-    // bit-identical to the scalar per-cell path by the lockstep
-    // differential suite. Mutable column state comes from the scratch
-    // pool, so a warm sweep allocates O(workers), not O(cells).
-    let scratches: ScratchPool<BatchScratch> = ScratchPool::new();
-    let rows = hbm_par::parallel_map(threads, |&p| {
+    // Every cell replays its thread count's memoized flat workload, one
+    // `hbm_par` item per (p, k) cell. Mutable engine state comes from the
+    // scratch pool, so a warm sweep allocates O(workers), not O(cells).
+    let scratches = ScratchPool::new();
+    let cells: Vec<(usize, usize)> = threads
+        .iter()
+        .flat_map(|&p| hbm_sizes.iter().map(move |&k| (p, k)))
+        .collect();
+    hbm_par::parallel_map(&cells, |&(p, k)| {
         let flat = pool.flat(p);
-        let settings: Vec<SimSettings> = hbm_sizes
-            .iter()
-            .flat_map(|&k| {
-                [
-                    SimSettings::new(k, q, ArbitrationKind::Fifo, seed),
-                    SimSettings::new(k, q, challenger(k), seed),
-                ]
-            })
-            .collect();
-        let reports = scratches.with(|scratch| run_batch_flat(&flat, &settings, scratch));
-        reports
-            .chunks_exact(2)
-            .zip(hbm_sizes)
-            .map(|(pair, &k)| RatioCell {
-                p,
-                k,
-                fifo_makespan: pair[0].makespan,
-                challenger_makespan: pair[1].makespan,
-                fifo_hit_rate: pair[0].hit_rate,
-                challenger_hit_rate: pair[1].hit_rate,
-                truncated: pair[0].truncated || pair[1].truncated,
-            })
-            .collect::<Vec<_>>()
-    });
-    rows.into_iter().flatten().collect()
+        let (fifo, chal) = scratches.with(|scratch| {
+            (
+                run_cell_flat(&flat, k, q, ArbitrationKind::Fifo, seed, scratch),
+                run_cell_flat(&flat, k, q, challenger(k), seed, scratch),
+            )
+        });
+        RatioCell::from_reports(p, k, &fifo, &chal)
+    })
 }
 
 /// Renders a Figure 2/4-style chart from sweep cells: one series per HBM

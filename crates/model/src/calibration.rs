@@ -181,41 +181,181 @@ fn fmt(x: f64) -> String {
 /// The committed calibration, produced by `repro calibrate` (see the
 /// module docs for the refit procedure).
 pub static FIT: Calibration = Calibration {
-    beta: [0.15000000000000002, 0.6000000000000001, 0.4, 0.30000000000000004, 0.2, 0.4, 0.30000000000000004, 0.25, 0.25],
+    beta: [
+        0.15000000000000002,
+        0.6000000000000001,
+        0.4,
+        0.30000000000000004,
+        0.2,
+        0.4,
+        0.30000000000000004,
+        0.25,
+        0.25,
+    ],
     alpha: [0.1, 0.5, 0.5, 0.5, 0.4, 0.45, 0.5, 0.30000000000000004, 0.5],
     wait_weight: 0.25,
     kappa_makespan: [
-        [0.9656084656084657, 0.9656084656084657, 0.9656084656084657, 0.9656084656084657],
-        [0.7692307692307693, 0.7692307692307693, 0.7692307692307693, 0.7692307692307693],
-        [0.7222222222222222, 0.7222222222222222, 0.7222222222222222, 0.7272727272727273],
-        [0.7777777777777778, 0.7777777777777778, 0.7777777777777778, 0.8021390374331551],
-        [0.769230769230769, 0.769230769230769, 0.769230769230769, 0.769230769230769],
-        [0.8411214953271028, 0.8411214953271028, 0.8411214953271028, 0.8460236886632826],
-        [0.8181818181818182, 0.8181818181818182, 0.8181818181818182, 0.8181818181818182],
-        [0.8163265306122449, 0.8163265306122449, 0.8163265306122449, 0.8163265306122449],
-        [0.7272727272727273, 0.7272727272727273, 0.7272727272727273, 0.7272727272727273],
+        [
+            0.9656084656084657,
+            0.9656084656084657,
+            0.9656084656084657,
+            0.9656084656084657,
+        ],
+        [
+            0.7692307692307693,
+            0.7692307692307693,
+            0.7692307692307693,
+            0.7692307692307693,
+        ],
+        [
+            0.7222222222222222,
+            0.7222222222222222,
+            0.7222222222222222,
+            0.7272727272727273,
+        ],
+        [
+            0.7777777777777778,
+            0.7777777777777778,
+            0.7777777777777778,
+            0.8021390374331551,
+        ],
+        [
+            0.769230769230769,
+            0.769230769230769,
+            0.769230769230769,
+            0.769230769230769,
+        ],
+        [
+            0.8411214953271028,
+            0.8411214953271028,
+            0.8411214953271028,
+            0.8460236886632826,
+        ],
+        [
+            0.8181818181818182,
+            0.8181818181818182,
+            0.8181818181818182,
+            0.8181818181818182,
+        ],
+        [
+            0.8163265306122449,
+            0.8163265306122449,
+            0.8163265306122449,
+            0.8163265306122449,
+        ],
+        [
+            0.7272727272727273,
+            0.7272727272727273,
+            0.7272727272727273,
+            0.7272727272727273,
+        ],
     ],
     kappa_response: [
-        [1.0000123989208465, 0.6173498005829379, 0.6248550508564424, 0.6248550508564424],
-        [1.0703989419094193, 0.9013605442176872, 0.9013605442176872, 0.9013605442176872],
+        [
+            1.0000123989208465,
+            0.6173498005829379,
+            0.6248550508564424,
+            0.6248550508564424,
+        ],
+        [
+            1.0703989419094193,
+            0.9013605442176872,
+            0.9013605442176872,
+            0.9013605442176872,
+        ],
         [1.0807031249999999, 0.9, 0.9, 0.9],
-        [0.8793425099581504, 0.8793425099581504, 0.8793425099581504, 0.9],
-        [0.8461538461538461, 0.8461538461538461, 0.8461538461538461, 0.8461538461538461],
-        [0.9026662734432174, 0.9026662734432174, 0.9026662734432174, 0.9130434782608695],
-        [0.8793425099581504, 0.8793425099581504, 0.8793425099581504, 0.9333333333333333],
-        [0.802047781569966, 0.802047781569966, 0.802047781569966, 0.802047781569966],
-        [0.9013605442176872, 0.9013605442176872, 0.9013605442176872, 0.9013605442176872],
+        [
+            0.8793425099581504,
+            0.8793425099581504,
+            0.8793425099581504,
+            0.9,
+        ],
+        [
+            0.8461538461538461,
+            0.8461538461538461,
+            0.8461538461538461,
+            0.8461538461538461,
+        ],
+        [
+            0.9026662734432174,
+            0.9026662734432174,
+            0.9026662734432174,
+            0.9130434782608695,
+        ],
+        [
+            0.8793425099581504,
+            0.8793425099581504,
+            0.8793425099581504,
+            0.9333333333333333,
+        ],
+        [
+            0.802047781569966,
+            0.802047781569966,
+            0.802047781569966,
+            0.802047781569966,
+        ],
+        [
+            0.9013605442176872,
+            0.9013605442176872,
+            0.9013605442176872,
+            0.9013605442176872,
+        ],
     ],
     kappa_inconsistency: [
-        [0.9999731191105653, 0.6072501775342107, 0.6171199478462315, 0.6171199478462315],
-        [2.110811733525323, 0.9990942344080144, 0.9990942344080144, 0.9990942344080144],
-        [13.786037571963684, 0.9709757676119856, 0.9867572497085114, 0.9867572497085114],
-        [0.9573958256816469, 0.9502385175390845, 0.9635558227772996, 0.9687375340829253],
-        [0.7414672572547658, 0.7311421816776157, 0.7195579062296055, 0.6923521102888963],
-        [0.9624622572967396, 0.951194018082875, 0.9666539830659517, 0.9666539830659517],
-        [0.9573958256816469, 0.9502385175390845, 0.9635558227772996, 0.9687375340829253],
-        [0.8538842362970805, 0.8438871982183425, 0.8576030819246103, 0.8576030819246103],
-        [1.0845758178247382, 0.9363934190911616, 1.0891267948993013, 1.0891267948993013],
+        [
+            0.9999731191105653,
+            0.6072501775342107,
+            0.6171199478462315,
+            0.6171199478462315,
+        ],
+        [
+            2.110811733525323,
+            0.9990942344080144,
+            0.9990942344080144,
+            0.9990942344080144,
+        ],
+        [
+            13.786037571963684,
+            0.9709757676119856,
+            0.9867572497085114,
+            0.9867572497085114,
+        ],
+        [
+            0.9573958256816469,
+            0.9502385175390845,
+            0.9635558227772996,
+            0.9687375340829253,
+        ],
+        [
+            0.7414672572547658,
+            0.7311421816776157,
+            0.7195579062296055,
+            0.6923521102888963,
+        ],
+        [
+            0.9624622572967396,
+            0.951194018082875,
+            0.9666539830659517,
+            0.9666539830659517,
+        ],
+        [
+            0.9573958256816469,
+            0.9502385175390845,
+            0.9635558227772996,
+            0.9687375340829253,
+        ],
+        [
+            0.8538842362970805,
+            0.8438871982183425,
+            0.8576030819246103,
+            0.8576030819246103,
+        ],
+        [
+            1.0845758178247382,
+            0.9363934190911616,
+            1.0891267948993013,
+            1.0891267948993013,
+        ],
     ],
 };
 

@@ -30,7 +30,7 @@
 //! [`makespan_upper_bound`](hbm_core::bounds::makespan_upper_bound).
 //! Mean response and inconsistency follow from a two-point
 //! (hit/miss) response mixture; the blocked fraction is driven by the
-//! fault summary's full-outage ticks. DESIGN.md §19 derives each term.
+//! fault summary's full-outage ticks. DESIGN.md §18 derives each term.
 //!
 //! ## Calibration and the error envelope
 //!

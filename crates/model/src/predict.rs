@@ -1,7 +1,7 @@
 //! The closed-form predictor: from a [`WorkloadSummary`] and a
 //! [`ModelConfig`] to a [`Prediction`] in O(1) float operations.
 //!
-//! The derivation (DESIGN.md §19) in brief. Let `p` be the core count,
+//! The derivation (DESIGN.md §18) in brief. Let `p` be the core count,
 //! `f` the far latency, `m(s)` the summed per-core LRU miss count at a
 //! per-core share of `s` HBM slots, and `m̂(s)` the critical (worst)
 //! core's miss count at that share.
@@ -221,7 +221,12 @@ pub struct ModelConfig {
 
 impl ModelConfig {
     /// A fault-free cell at the default far latency of 1.
-    pub fn new(k: usize, q: usize, arbitration: ArbitrationKind, replacement: ReplacementKind) -> Self {
+    pub fn new(
+        k: usize,
+        q: usize,
+        arbitration: ArbitrationKind,
+        replacement: ReplacementKind,
+    ) -> Self {
         ModelConfig {
             k,
             q,
@@ -426,7 +431,11 @@ impl Calibration {
 
         let scaled = raw.makespan * self.kappa_makespan[ai][ri];
         // The upper bound only holds fault-free; outages can exceed it.
-        let clamp_hi = if c.faults.is_zero() { ub as f64 } else { f64::INFINITY };
+        let clamp_hi = if c.faults.is_zero() {
+            ub as f64
+        } else {
+            f64::INFINITY
+        };
         let est_mk = scaled.clamp(lb as f64, clamp_hi.max(lb as f64));
         let clamped = (est_mk - scaled).abs() > 1e-9;
 
@@ -571,8 +580,14 @@ mod tests {
                     let c = ModelConfig::new(k, q, arb, ReplacementKind::Lru);
                     let pred = predict(&s, &c);
                     let (lb, ub) = summary_bounds(&s, q, 1);
-                    assert!(pred.makespan.est >= lb as f64, "est below lb at k={k} q={q}");
-                    assert!(pred.makespan.est <= ub as f64, "est above ub at k={k} q={q}");
+                    assert!(
+                        pred.makespan.est >= lb as f64,
+                        "est below lb at k={k} q={q}"
+                    );
+                    assert!(
+                        pred.makespan.est <= ub as f64,
+                        "est above ub at k={k} q={q}"
+                    );
                     assert!(pred.makespan.lo <= pred.makespan.est);
                     assert!(pred.makespan.est <= pred.makespan.hi);
                     assert!(pred.mean_response.est >= 1.0);

@@ -23,8 +23,8 @@
 //! * **Sharded serving & batching** ([`server`]): the accept loop
 //!   dispatches connections round-robin across N shards, each with its
 //!   own worker pool, warm-pool registry, and counters; with a coalescing
-//!   window enabled, same-(workload, p, budget) requests batch through
-//!   the lockstep `BatchEngine` with byte-identical responses.
+//!   window enabled, same-(workload, p, budget) requests share one
+//!   warm-pool lookup and one worker job, with byte-identical responses.
 //! * **Multiplexed streaming sessions** ([`mux`](crate), [`alerts`]):
 //!   `POST /session` upgrades the connection to a chunked-HTTP JSONL
 //!   stream of periodic metric snapshots, fault events, and alert-rule

@@ -15,8 +15,8 @@
 //! explicit release on a server's idle path.
 
 use hbm_core::{
-    ArbitrationKind, BatchCell, BatchEngine, BatchScratch, EngineScratch, FaultPlan, FlatWorkload,
-    NoopObserver, Report, SimBuilder, SimError, Trace, Workload,
+    ArbitrationKind, Engine, EngineScratch, FaultPlan, FlatWorkload, NoopObserver, Report,
+    SimBuilder, SimError, Trace, Workload,
 };
 use hbm_traces::{TraceOptions, WorkloadSpec};
 use std::collections::HashMap;
@@ -273,18 +273,6 @@ impl SimSettings {
         }
     }
 
-    /// The [`BatchCell`] these settings submit under `budget` — exactly
-    /// what [`run_batch_budgeted_flat`] builds internally. Public so
-    /// differential tests and the bench harness's divergence triage can
-    /// reconstruct a batch from its settings.
-    pub fn to_batch_cell(&self, budget: CellBudget) -> BatchCell {
-        let builder = self.builder(budget);
-        BatchCell {
-            config: *builder.config(),
-            faults: builder.faults().clone(),
-        }
-    }
-
     fn builder(&self, budget: CellBudget) -> SimBuilder {
         let mut b = SimBuilder::new()
             .hbm_slots(self.k)
@@ -363,15 +351,21 @@ pub fn run_sim_budgeted(
     settings: &SimSettings,
     budget: CellBudget,
 ) -> Result<Report, SimError> {
-    let builder = settings.builder(budget);
-    let tick_cap = builder.config().max_ticks;
-    let mut engine = builder.try_build(workload)?;
+    let mut engine = settings.builder(budget).try_build(workload)?;
     let Some(wall) = budget.max_wall else {
         return Ok(engine.run(&mut NoopObserver));
     };
+    step_within_wall(&mut engine, wall);
+    Ok(engine.into_report())
+}
+
+/// Steps `engine` until it finishes, reaches its `max_ticks`, or `wall`
+/// elapses — the cooperative wall-budget loop shared by the budgeted
+/// runners.
+fn step_within_wall(engine: &mut Engine, wall: Duration) {
     let start = Instant::now();
     let mut steps = 0u32;
-    while !engine.is_done() && engine.tick() < tick_cap {
+    while !engine.is_done() && engine.tick() < engine.max_ticks() {
         engine.step(&mut NoopObserver);
         steps = steps.wrapping_add(1);
         // Instant::now() costs a vDSO call; amortize it over a batch of
@@ -380,7 +374,6 @@ pub fn run_sim_budgeted(
             break;
         }
     }
-    Ok(engine.into_report())
 }
 
 /// [`run_cell_budgeted`] over a shared [`FlatWorkload`] with recycled
@@ -407,21 +400,13 @@ pub fn run_sim_budgeted_flat(
     budget: CellBudget,
     scratch: &mut EngineScratch,
 ) -> Result<Report, SimError> {
-    let builder = settings.builder(budget);
-    let tick_cap = builder.config().max_ticks;
-    let mut engine = builder.try_build_flat_reusing(flat, scratch)?;
+    let mut engine = settings
+        .builder(budget)
+        .try_build_flat_reusing(flat, scratch)?;
     let Some(wall) = budget.max_wall else {
         return Ok(engine.run_reusing(&mut NoopObserver, scratch));
     };
-    let start = Instant::now();
-    let mut steps = 0u32;
-    while !engine.is_done() && engine.tick() < tick_cap {
-        engine.step(&mut NoopObserver);
-        steps = steps.wrapping_add(1);
-        if steps & 1023 == 0 && start.elapsed() >= wall {
-            break;
-        }
-    }
+    step_within_wall(&mut engine, wall);
     Ok(engine.into_report_reusing(scratch))
 }
 
@@ -443,56 +428,8 @@ pub fn build_session_engine(
     Ok((engine, tick_cap))
 }
 
-/// Runs a batch of cells over one shared [`FlatWorkload`] through the
-/// lockstep [`BatchEngine`], recycling `scratch`'s column arena. Each
-/// cell's report is bit-identical to [`run_cell_flat`] with the same
-/// settings (enforced by the lockstep differential suite). Panics on
-/// invalid settings — the batched analogue of [`run_cell_flat`].
-pub fn run_batch_flat(
-    flat: &Arc<FlatWorkload>,
-    settings: &[SimSettings],
-    scratch: &mut BatchScratch,
-) -> Vec<Report> {
-    run_batch_budgeted_flat(flat, settings, CellBudget::UNLIMITED, scratch)
-        .expect("invalid simulation config")
-}
-
-/// [`run_batch_flat`] under a [`CellBudget`] applied to every cell: the
-/// tick budget becomes each cell's `max_ticks` (cells exceeding it report
-/// `truncated`, cells finishing within it don't), while the wall budget
-/// truncates at batch granularity — when it expires, every still-running
-/// cell stops cooperatively with partial metrics.
-///
-/// Batches of one skip columnization and run through the scalar
-/// [`run_sim_budgeted_flat`] path on the scratch's embedded
-/// [`EngineScratch`] — bit-identical either way, so callers can batch
-/// unconditionally.
-pub fn run_batch_budgeted_flat(
-    flat: &Arc<FlatWorkload>,
-    settings: &[SimSettings],
-    budget: CellBudget,
-    scratch: &mut BatchScratch,
-) -> Result<Vec<Report>, SimError> {
-    if settings.len() == 1 {
-        let report = run_sim_budgeted_flat(flat, &settings[0], budget, scratch.scalar_mut())?;
-        return Ok(vec![report]);
-    }
-    let cells: Vec<BatchCell> = settings.iter().map(|s| s.to_batch_cell(budget)).collect();
-    let mut engine = BatchEngine::try_with_scratch(Arc::clone(flat), &cells, scratch)?;
-    let Some(wall) = budget.max_wall else {
-        return Ok(engine.run_quiet_reusing(scratch));
-    };
-    // Phase-major run with a cooperative wall-budget poll: the engine
-    // polls every 64 rounds (vDSO-call amortization — a round steps every
-    // live cell once), the budget policy stays here.
-    let start = Instant::now();
-    engine.run_quiet_while(|| start.elapsed() < wall);
-    Ok(engine.into_reports_reusing(scratch))
-}
-
-/// A pool of engine scratches shared by sweep workers and server request
-/// handlers — [`EngineScratch`] for scalar cells (the default parameter),
-/// [`BatchScratch`] for lockstep batches.
+/// A pool of [`EngineScratch`]es shared by sweep workers and server
+/// request handlers.
 ///
 /// `hbm_par`'s closures are `Fn(&T)` — they cannot hold `&mut` worker
 /// state — so per-cell scratch reuse goes through this pool: each cell
@@ -503,14 +440,14 @@ pub fn run_batch_budgeted_flat(
 /// that panics mid-run still recycles its buffers. That is sound because
 /// engine construction fully overwrites every scratch buffer
 /// (`clear()` + `resize`) — a panic-abandoned scratch is indistinguishable
-/// from a fresh one to the next cell (see the `EngineScratch` /
-/// `BatchScratch` docs and the sharing / batch scratch-panic suites).
+/// from a fresh one to the next cell (see the `EngineScratch` docs and the
+/// sharing / scratch-panic suites).
 #[derive(Default)]
-pub struct ScratchPool<S = EngineScratch> {
-    free: Mutex<Vec<S>>,
+pub struct ScratchPool {
+    free: Mutex<Vec<EngineScratch>>,
 }
 
-impl<S: Default> ScratchPool<S> {
+impl ScratchPool {
     /// An empty pool; scratches are created on demand.
     pub fn new() -> Self {
         Self::default()
@@ -518,12 +455,12 @@ impl<S: Default> ScratchPool<S> {
 
     /// Runs `f` with a pooled scratch, returning it afterwards — including
     /// on unwind.
-    pub fn with<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
-        struct Guard<'a, S> {
-            pool: &'a ScratchPool<S>,
-            scratch: Option<S>,
+    pub fn with<R>(&self, f: impl FnOnce(&mut EngineScratch) -> R) -> R {
+        struct Guard<'a> {
+            pool: &'a ScratchPool,
+            scratch: Option<EngineScratch>,
         }
-        impl<S> Drop for Guard<'_, S> {
+        impl Drop for Guard<'_> {
             fn drop(&mut self) {
                 if let Some(s) = self.scratch.take() {
                     self.pool
@@ -760,69 +697,29 @@ mod tests {
     }
 
     #[test]
-    fn batch_runner_matches_scalar_cells() {
-        let pool = small_pool();
-        let flat = pool.flat(3);
-        let settings = vec![
-            SimSettings::new(4, 1, ArbitrationKind::Fifo, 7),
-            SimSettings::new(16, 2, ArbitrationKind::Priority, 7),
-            SimSettings::new(8, 1, ArbitrationKind::DynamicPriority { period: 16 }, 9),
-        ];
-        let mut batch_scratch = BatchScratch::default();
-        let batched = run_batch_flat(&flat, &settings, &mut batch_scratch);
-        let mut scratch = EngineScratch::default();
-        for (i, s) in settings.iter().enumerate() {
-            let scalar = run_cell_flat(&flat, s.k, s.q, s.arbitration, s.seed, &mut scratch);
-            assert_eq!(batched[i].makespan, scalar.makespan, "cell {i}");
-            assert_eq!(batched[i].hits, scalar.hits, "cell {i}");
-            assert_eq!(
-                batched[i].mean_queue_len.to_bits(),
-                scalar.mean_queue_len.to_bits(),
-                "cell {i}"
-            );
-        }
-    }
-
-    #[test]
-    fn batch_singleton_fallback_matches_batched_pair() {
-        // A batch of one takes the scalar fallback; the same settings in a
-        // batch of two take the lockstep path. Results must agree.
-        let pool = small_pool();
-        let flat = pool.flat(2);
-        let s = SimSettings::new(6, 1, ArbitrationKind::Priority, 3);
-        let mut scratch = BatchScratch::default();
-        let singleton = run_batch_flat(&flat, std::slice::from_ref(&s), &mut scratch);
-        assert_eq!(singleton.len(), 1);
-        let pair = run_batch_flat(&flat, &[s.clone(), s.clone()], &mut scratch);
-        assert_eq!(singleton[0].makespan, pair[0].makespan);
-        assert_eq!(pair[0].makespan, pair[1].makespan);
-        assert_eq!(singleton[0].hits, pair[0].hits);
-    }
-
-    #[test]
     fn batch_tick_budget_truncates_exactly_the_over_budget_cells() {
+        // Several cells over one flat workload under one shared tick
+        // budget: only the over-budget cell truncates. A tiny HBM thrashes
+        // (slow), a huge one streams (fast).
         let w = Workload::from_refs(vec![(0..300u32).collect(); 3]);
         let flat = Arc::new(FlatWorkload::new(&w));
-        // Tiny HBM thrashes (slow); huge HBM streams (fast).
-        let settings = vec![
+        let settings = [
             SimSettings::new(512, 4, ArbitrationKind::Fifo, 0),
             SimSettings::new(2, 1, ArbitrationKind::Fifo, 0),
         ];
-        let fast_alone = run_batch_budgeted_flat(
-            &flat,
-            &settings[..1],
-            CellBudget::UNLIMITED,
-            &mut BatchScratch::default(),
-        )
-        .unwrap()[0]
-            .makespan;
+        let mut scratch = EngineScratch::default();
+        let fast_alone =
+            run_sim_budgeted_flat(&flat, &settings[0], CellBudget::UNLIMITED, &mut scratch)
+                .unwrap()
+                .makespan;
         let budget = CellBudget {
             max_ticks: Some(fast_alone + 10),
             max_wall: None,
         };
-        let reports =
-            run_batch_budgeted_flat(&flat, &settings, budget, &mut BatchScratch::default())
-                .unwrap();
+        let reports: Vec<Report> = settings
+            .iter()
+            .map(|s| run_sim_budgeted_flat(&flat, s, budget, &mut scratch).unwrap())
+            .collect();
         assert!(!reports[0].truncated, "fast cell finishes within budget");
         assert!(reports[1].truncated, "thrashing cell exceeds the budget");
         assert_eq!(reports[1].makespan, fast_alone + 10);
@@ -830,9 +727,11 @@ mod tests {
 
     #[test]
     fn batch_zero_wall_budget_truncates_not_hangs() {
+        // The flat, scratch-recycling path must also stop promptly under a
+        // zero wall budget, for every arbitration in the set.
         let w = Workload::from_refs(vec![(0..3000u32).collect(); 8]);
         let flat = Arc::new(FlatWorkload::new(&w));
-        let settings = vec![
+        let settings = [
             SimSettings::new(16, 1, ArbitrationKind::Fifo, 0),
             SimSettings::new(16, 1, ArbitrationKind::Priority, 0),
         ];
@@ -840,41 +739,51 @@ mod tests {
             max_ticks: None,
             max_wall: Some(Duration::ZERO),
         };
-        let reports =
-            run_batch_budgeted_flat(&flat, &settings, budget, &mut BatchScratch::default())
-                .unwrap();
-        assert!(reports.iter().all(|r| r.truncated));
+        let mut scratch = EngineScratch::default();
+        for s in &settings {
+            let r = run_sim_budgeted_flat(&flat, s, budget, &mut scratch).unwrap();
+            assert!(r.truncated, "zero wall budget must truncate the flat path");
+        }
     }
 
     #[test]
     fn batch_runner_surfaces_config_errors() {
-        let pool = small_pool();
-        let flat = pool.flat(2);
-        let settings = vec![
-            SimSettings::new(4, 1, ArbitrationKind::Fifo, 0),
-            SimSettings::new(4, 0, ArbitrationKind::Fifo, 0), // q = 0
-        ];
-        let err = run_batch_budgeted_flat(
+        let flat = small_pool().flat(2);
+        let mut scratch = EngineScratch::default();
+        let ok = run_sim_budgeted_flat(
             &flat,
-            &settings,
+            &SimSettings::new(4, 1, ArbitrationKind::Fifo, 0),
             CellBudget::UNLIMITED,
-            &mut BatchScratch::default(),
+            &mut scratch,
+        );
+        assert!(ok.is_ok());
+        let err = run_sim_budgeted_flat(
+            &flat,
+            &SimSettings::new(4, 0, ArbitrationKind::Fifo, 0), // q = 0
+            CellBudget::UNLIMITED,
+            &mut scratch,
         );
         assert!(err.is_err(), "q = 0 must be a typed error, not a panic");
     }
 
     #[test]
     fn batch_scratch_pool_recycles() {
-        let pool: ScratchPool<BatchScratch> = ScratchPool::new();
-        let traces = small_pool();
-        let flat = traces.flat(2);
-        let settings = vec![
+        let pool = ScratchPool::new();
+        let flat = small_pool().flat(2);
+        let settings = [
             SimSettings::new(4, 1, ArbitrationKind::Fifo, 1),
             SimSettings::new(8, 1, ArbitrationKind::Priority, 1),
         ];
-        let a = pool.with(|s| run_batch_flat(&flat, &settings, s));
+        let run_all = |s: &mut EngineScratch| -> Vec<Report> {
+            settings
+                .iter()
+                .map(|c| run_sim_budgeted_flat(&flat, c, CellBudget::UNLIMITED, s).unwrap())
+                .collect()
+        };
+        let a = pool.with(run_all);
         assert_eq!(pool.idle(), 1, "scratch returned to the pool");
-        let b = pool.with(|s| run_batch_flat(&flat, &settings, s));
+        let b = pool.with(run_all);
+        assert_eq!(pool.idle(), 1, "the recycled scratch was reused");
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.makespan, y.makespan);
             assert_eq!(x.hits, y.hits);
@@ -883,7 +792,7 @@ mod tests {
 
     #[test]
     fn scratch_pool_clear_frees_idle_buffers() {
-        let pool: ScratchPool = ScratchPool::new();
+        let pool = ScratchPool::new();
         pool.with(|_| {});
         pool.with(|_| {});
         assert_eq!(pool.idle(), 1);

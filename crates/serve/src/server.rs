@@ -17,7 +17,7 @@
 //!    shard's worker pool — *non-blocking*: a full queue is an immediate
 //!    **429**, the explicit admission-control signal. With a coalescing
 //!    window configured, same-(workload, p, budget) requests arriving
-//!    within the window run as one batched engine call (see
+//!    within the window share one worker job (see
 //!    [`shard`](crate::shard)); responses are byte-identical either way.
 //! 4. The worker executes through the warm path — a per-workload
 //!    [`TracePool`](crate::pool::TracePool) (memoized traces + flats) and
@@ -604,7 +604,7 @@ fn execute_sim(shard: &ShardState, sim: &SimRequest, budget: CellBudget) -> Http
     let flat = pool.flat(sim.p);
     let result = shard
         .scratch
-        .with(|scratch| run_sim_budgeted_flat(&flat, &sim.settings, budget, scratch.scalar_mut()));
+        .with(|scratch| run_sim_budgeted_flat(&flat, &sim.settings, budget, scratch));
     match result {
         Ok(report) => HttpResponse::json(200, report_to_json(&report)),
         Err(e) => HttpResponse::json(400, error_body(&format!("invalid configuration: {e}"))),

@@ -7,25 +7,22 @@
 //! the only cross-shard state is the listener, the shutdown flag, and the
 //! global connection/session gauges.
 //!
-//! The **coalescer** batches concurrent same-configuration requests
-//! through one [`run_batch_budgeted_flat`] call. The batch key is
+//! The **coalescer** batches concurrent same-configuration requests into
+//! one warm-pool lookup and one worker-pool job. The batch key is
 //! `(workload cache key, p, clamped budget)` — budget included, so every
 //! request in a batch provably runs under its own (identical) budget. The
 //! first request to open a key becomes the *leader*: it sleeps the
 //! coalescing window, then flushes whatever accumulated. A request that
 //! fills the batch to `max_batch` flushes immediately (the leader finds
 //! its batch gone and does nothing). Followers just wait on their response
-//! channel. Batch-split invariance (the PR 6 lockstep proptests) makes the
-//! whole scheme byte-transparent: a coalesced response is identical to the
-//! scalar response for the same request.
+//! channel. Inside the job each request runs alone through
+//! [`run_sim_budgeted_flat`], so a coalesced response is byte-identical to
+//! the uncoalesced response for the same request.
 
 use crate::http::HttpResponse;
-use crate::pool::{
-    run_batch_budgeted_flat, run_sim_budgeted_flat, CellBudget, ScratchPool, SimSettings, TracePool,
-};
+use crate::pool::{run_sim_budgeted_flat, CellBudget, ScratchPool, SimSettings, TracePool};
 use crate::proto::{report_to_json, WorkloadKey};
 use crate::server::{error_body, panic_message, ServerStats};
-use hbm_core::BatchScratch;
 use hbm_par::{SubmitError, WorkerPool};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -175,7 +172,7 @@ pub(crate) struct ShardState {
     pub(crate) workers: usize,
     pub(crate) worker_pool: WorkerPool,
     pub(crate) registry: PoolRegistry,
-    pub(crate) scratch: ScratchPool<BatchScratch>,
+    pub(crate) scratch: ScratchPool,
     pub(crate) stats: StatCells,
     pub(crate) coalescer: Coalescer,
 }
@@ -384,11 +381,10 @@ fn submit_batch(
     }
 }
 
-/// Worker-side execution of one flushed batch through
-/// [`run_batch_budgeted_flat`]. A config error or panic anywhere in the
-/// batch falls back to per-request scalar runs (each under its own
-/// `catch_unwind`) so only the offending request fails — batching never
-/// widens a failure's blast radius.
+/// Worker-side execution of one flushed batch: one warm-pool lookup, then
+/// each request through [`run_sim_budgeted_flat`] under its own
+/// `catch_unwind`, so a config error or panic fails only the offending
+/// request — batching never widens a failure's blast radius.
 fn run_coalesced_batch(
     shard: &ShardState,
     workload: &WorkloadKey,
@@ -409,28 +405,11 @@ fn run_coalesced_batch(
             .fetch_add(n.saturating_sub(1), Ordering::Relaxed);
     }
     let flat = pool.flat(p);
-    let settings: Vec<SimSettings> = entries.iter().map(|e| e.settings.clone()).collect();
-    let batched = catch_unwind(AssertUnwindSafe(|| {
-        shard
-            .scratch
-            .with(|scratch| run_batch_budgeted_flat(&flat, &settings, budget, scratch))
-    }));
-    if let Ok(Ok(reports)) = batched {
-        for (entry, report) in entries.iter().zip(&reports) {
-            let _ = entry
-                .tx
-                .send(HttpResponse::json(200, report_to_json(report)));
-        }
-        return;
-    }
-    // Isolation fallback: re-run each cell alone on the scalar path. The
-    // lockstep suites prove scalar == batched bytes, so healthy requests
-    // get exactly the response they would have gotten either way.
     for entry in entries {
         let result = catch_unwind(AssertUnwindSafe(|| {
-            shard.scratch.with(|scratch| {
-                run_sim_budgeted_flat(&flat, &entry.settings, budget, scratch.scalar_mut())
-            })
+            shard
+                .scratch
+                .with(|scratch| run_sim_budgeted_flat(&flat, &entry.settings, budget, scratch))
         }));
         let resp = match result {
             Ok(Ok(report)) => HttpResponse::json(200, report_to_json(&report)),

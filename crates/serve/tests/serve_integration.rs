@@ -393,8 +393,8 @@ fn malformed_estimate_requests_get_400() {
 }
 
 // ---------------------------------------------------------------------------
-// Batching axis: requests coalesced through the lockstep BatchEngine must be
-// observationally identical to scalar execution.
+// Batching axis: requests coalesced into one worker job must be
+// observationally identical to uncoalesced execution.
 // ---------------------------------------------------------------------------
 
 fn coalescing_config() -> ServerConfig {
@@ -1063,17 +1063,22 @@ fn a_thousand_paced_sessions_run_on_a_fixed_thread_pool() {
         "pace_ms": 300
     }"#;
     let addr = server.addr;
-    let streams: std::sync::Arc<std::sync::Mutex<Vec<TcpStream>>> =
+    type OpenStream = (TcpStream, ChunkedLines);
+    let streams: std::sync::Arc<std::sync::Mutex<Vec<OpenStream>>> =
         std::sync::Arc::new(std::sync::Mutex::new(Vec::with_capacity(SESSIONS)));
+    // Each opener waits for its session's stream head before opening the
+    // next, so at most OPENERS connection threads are mid-handshake at any
+    // moment. Fire-and-forget opens would instead leave the accept loop a
+    // backlog of up to SESSIONS pending connections, each briefly holding
+    // a connection thread — a measure of client burst size under CPU
+    // contention, not of what open sessions cost.
     let openers: Vec<_> = (0..OPENERS)
         .map(|_| {
             let streams = std::sync::Arc::clone(&streams);
             std::thread::spawn(move || {
                 for _ in 0..SESSIONS / OPENERS {
-                    let mut s = TcpStream::connect(addr).expect("connect");
-                    write_request(&mut s, "POST", "/session", body.as_bytes())
-                        .expect("write session request");
-                    streams.lock().unwrap().push(s);
+                    let opened = open_stream(addr, "/session", body.as_bytes());
+                    streams.lock().unwrap().push(opened);
                 }
             })
         })
@@ -1123,11 +1128,9 @@ fn a_thousand_paced_sessions_run_on_a_fixed_thread_pool() {
     // Every buffered stream ends with a completed done line.
     let mut streams = streams.lock().unwrap();
     let mut completed = 0usize;
-    for s in streams.iter_mut() {
-        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        let mut buf = Vec::new();
-        std::io::Read::read_to_end(s, &mut buf).expect("drain stream");
-        if String::from_utf8_lossy(&buf).contains("\"reason\":\"completed\"") {
+    for (s, lines) in streams.iter_mut() {
+        let all = read_all_lines(s, lines);
+        if all.iter().any(|l| l.contains("\"reason\":\"completed\"")) {
             completed += 1;
         }
     }

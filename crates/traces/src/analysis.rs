@@ -268,9 +268,8 @@ impl WorkloadSummary {
     /// accounting, so shared-universe workloads count each page once.
     pub fn from_workload(w: &hbm_core::Workload) -> Self {
         let traces: Vec<&[LocalPage]> = w.traces().iter().map(|t| t.as_slice()).collect();
-        let per_core: Vec<(u64, MissRatioCurve)> = hbm_par::parallel_map(&traces, |t| {
-            (t.len() as u64, MissRatioCurve::from_trace(t))
-        });
+        let per_core: Vec<(u64, MissRatioCurve)> =
+            hbm_par::parallel_map(&traces, |t| (t.len() as u64, MissRatioCurve::from_trace(t)));
         let (trace_lens, curves): (Vec<u64>, Vec<MissRatioCurve>) = per_core.into_iter().unzip();
         Self::assemble(trace_lens, curves, w.total_unique_pages() as u64)
     }
@@ -461,7 +460,10 @@ mod tests {
     #[test]
     fn summary_from_spec_matches_the_workload_the_simulator_runs() {
         use crate::workload_gen::{TraceOptions, WorkloadSpec};
-        let spec = WorkloadSpec::Uniform { pages: 40, len: 300 };
+        let spec = WorkloadSpec::Uniform {
+            pages: 40,
+            len: 300,
+        };
         let (seed, p) = (9u64, 4usize);
         let summary = WorkloadSummary::from_spec(spec, seed, p);
         // The summary must describe exactly spec.workload(p, seed, ..):
