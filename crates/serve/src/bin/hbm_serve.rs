@@ -132,7 +132,8 @@ fn main() {
         Ok(stats) => {
             eprintln!(
                 "drained cleanly: {} requests ({} ok, {} rejected, {} shed, {} client errors, \
-                 {} panics; {} cold / {} warm runs; {} batches / {} batched; \
+                 {} panics; {} cold / {} warm runs; {} cold / {} warm estimates; \
+                 {} batches / {} batched; \
                  {} sessions opened / {} closed / {} reaped / {} resumed / {} shed; \
                  {} alerts)",
                 stats.requests,
@@ -143,6 +144,8 @@ fn main() {
                 stats.panics,
                 stats.cold_runs,
                 stats.warm_runs,
+                stats.estimates_cold,
+                stats.estimates_warm,
                 stats.batches,
                 stats.batched_requests,
                 stats.sessions_opened,

@@ -10,6 +10,7 @@
 //! any LRU cache with at least `d + 1` slots ([`MissRatioCurve`]).
 
 use crate::memlog::DEFAULT_PAGE_BYTES;
+use hbm_core::fxhash::FxHashMap;
 use hbm_core::LocalPage;
 
 /// Fenwick (binary-indexed) tree over `n` slots, point update / prefix sum.
@@ -55,22 +56,20 @@ fn stream_stack_distances(trace: &[LocalPage], mut sink: impl FnMut(Option<u32>)
     let n = trace.len();
     // marker[t] = 1 if time t is the most recent access of its page.
     let mut fen = Fenwick::new(n);
-    let mut last_access: std::collections::HashMap<LocalPage, usize> =
-        std::collections::HashMap::new();
+    let mut last_access: FxHashMap<LocalPage, usize> = FxHashMap::default();
     for (t, &page) in trace.iter().enumerate() {
-        match last_access.get(&page) {
+        // One map operation per reference: the insert hands back the
+        // previous access time.
+        match last_access.insert(page, t) {
             None => sink(None),
-            Some(&prev) => {
+            Some(prev) => {
                 // Distinct pages since prev = markers in (prev, t).
                 let d = fen.prefix(t.saturating_sub(1)) - fen.prefix(prev);
                 sink(Some(d));
+                fen.add(prev, -1);
             }
         }
-        if let Some(&prev) = last_access.get(&page) {
-            fen.add(prev, -1);
-        }
         fen.add(t, 1);
-        last_access.insert(page, t);
     }
 }
 
@@ -132,18 +131,27 @@ impl MissRatioCurve {
 
     /// Miss ratio at `k` slots (0 for an empty trace).
     pub fn miss_ratio_at(&self, k: usize) -> f64 {
+        self.ratio(self.misses_at(k))
+    }
+
+    fn ratio(&self, misses: u64) -> f64 {
         if self.total == 0 {
             0.0
         } else {
-            self.misses_at(k) as f64 / self.total as f64
+            misses as f64 / self.total as f64
         }
     }
 
     /// Smallest `k` whose miss ratio is at most `target` (cold misses
     /// included), or `None` if even a cache holding everything exceeds it.
+    ///
+    /// One scan over [`misses_table`](Self::misses_table): beyond the
+    /// working set the miss count stays at `cold`, so the table's last
+    /// entry stands for every larger size.
     pub fn size_for_miss_ratio(&self, target: f64) -> Option<usize> {
-        let full = self.unique_pages() as usize;
-        (0..=full).find(|&k| self.miss_ratio_at(k) <= target)
+        self.misses_table()
+            .into_iter()
+            .position(|m| self.ratio(m) <= target)
     }
 
     /// The *working set* in the experiments' sense: the smallest cache
@@ -265,13 +273,20 @@ impl WorkloadSummary {
 
     /// Summarizes an already-built workload, borrowing each trace in
     /// place (no clones). The footprint uses the workload's global-page
-    /// accounting, so shared-universe workloads count each page once.
+    /// accounting, so shared-universe workloads count each page once;
+    /// disjoint ones sum the curves' cold misses, which are exactly each
+    /// core's unique pages, instead of sorting every trace again.
     pub fn from_workload(w: &hbm_core::Workload) -> Self {
         let traces: Vec<&[LocalPage]> = w.traces().iter().map(|t| t.as_slice()).collect();
         let per_core: Vec<(u64, MissRatioCurve)> =
             hbm_par::parallel_map(&traces, |t| (t.len() as u64, MissRatioCurve::from_trace(t)));
         let (trace_lens, curves): (Vec<u64>, Vec<MissRatioCurve>) = per_core.into_iter().unzip();
-        Self::assemble(trace_lens, curves, w.total_unique_pages() as u64)
+        let footprint = if w.is_shared() {
+            w.total_unique_pages() as u64
+        } else {
+            curves.iter().map(|c| c.unique_pages()).sum()
+        };
+        Self::assemble(trace_lens, curves, footprint)
     }
 
     fn assemble(trace_lens: Vec<u64>, per_core: Vec<MissRatioCurve>, footprint: u64) -> Self {
