@@ -53,7 +53,7 @@ use crate::proto::{
     session_fault_json, session_open_json, session_snapshot_json, ProtoError, SessionRequest,
 };
 use crate::server::{error_body, ServerState, RETRY_AFTER_DRAIN_SECS};
-use crate::shard::ShardState;
+use crate::shard::{PoolUse, ShardState};
 use crate::shutdown::ShutdownFlag;
 use hbm_core::{Engine, FaultEvent, SimObserver, Tick};
 use std::collections::hash_map::DefaultHasher;
@@ -580,7 +580,10 @@ fn start_stream(
     }
 
     let budget = session.sim.budget.min(state.config.budget_ceiling);
-    let (pool, was_warm) = shard.registry.get(&session.sim.workload, session.sim.p);
+    let (pool, was_warm) =
+        shard
+            .registry
+            .get(&session.sim.workload, session.sim.p, PoolUse::Engine);
     if was_warm {
         shard.stats.warm_runs.fetch_add(1, Ordering::Relaxed);
     } else {
