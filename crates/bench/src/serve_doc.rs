@@ -29,6 +29,12 @@
 //!   means no baseline file and no cross-machine normalization — both
 //!   cells come from the same run on the same machine.
 //!
+//! Both read only the `"serve"` points, whose requests are all engine
+//! runs (each carries a fresh policy seed, so the server's response memo
+//! never answers it). The `"repeated_body"` points send one body over
+//! and over and are answered from the memo; they are recorded, never
+//! gated. Every point records its `memo_hits`.
+//!
 //! Unlike the harness document this one is rendered *and* re-read through
 //! the real JSON codec ([`hbm_serve::json`]) — the regression gate
 //! dogfoods the parser the server itself uses. Cross-machine
@@ -70,6 +76,12 @@ pub struct LoadPoint {
     /// indexed by shard id. Empty when the target exposes no per-shard
     /// counters (pre-schema-5 servers).
     pub per_shard_requests: Vec<u64>,
+    /// `/simulate`s the server answered from its response memo over the
+    /// window (`/healthz` `simulate_memo_hits` delta). A gated point sends
+    /// a fresh policy seed with every request, so it must record 0: each
+    /// of its requests is an engine run. 0 when the target exposes no
+    /// such counter.
+    pub memo_hits: u64,
 }
 
 /// The cold-versus-warm setup delta: the first request against a fresh
@@ -120,6 +132,7 @@ pub fn summarize(
         p99_seconds: percentile(latencies, 0.99),
         max_seconds: latencies.iter().cloned().fold(0.0, f64::max),
         per_shard_requests: Vec::new(),
+        memo_hits: 0,
     }
 }
 
@@ -127,14 +140,57 @@ fn num(x: f64) -> Json {
     Json::Num(Number::F(if x.is_finite() { x } else { 0.0 }))
 }
 
+/// One load point as a JSON object.
+fn point_json(pt: &LoadPoint) -> Json {
+    Json::obj(vec![
+        ("shards", Json::from(pt.shards as u64)),
+        ("clients", Json::from(pt.clients as u64)),
+        ("requests", Json::from(pt.requests)),
+        ("errors", Json::from(pt.errors)),
+        ("wall_seconds", num(pt.wall_seconds)),
+        ("requests_per_sec", num(pt.requests_per_sec)),
+        ("p50_seconds", num(pt.p50_seconds)),
+        ("p90_seconds", num(pt.p90_seconds)),
+        ("p99_seconds", num(pt.p99_seconds)),
+        ("max_seconds", num(pt.max_seconds)),
+        (
+            "per_shard_requests",
+            Json::Arr(
+                pt.per_shard_requests
+                    .iter()
+                    .map(|&n| Json::from(n))
+                    .collect(),
+            ),
+        ),
+        ("memo_hits", Json::from(pt.memo_hits)),
+    ])
+}
+
+/// Writes `"key": [ ... ]` with one load point per line.
+fn push_points(out: &mut String, key: &str, points: &[LoadPoint]) {
+    out.push_str(&format!("  \"{key}\": [\n"));
+    for (i, pt) in points.iter().enumerate() {
+        let comma = if i + 1 == points.len() { "" } else { "," };
+        out.push_str(&format!("    {}{comma}\n", point_json(pt)));
+    }
+    out.push_str("  ],\n");
+}
+
 /// Renders the full `BENCH_7.json` document (schema 5). Layout mirrors the
 /// harness document — line-oriented, one load point per line — but every
 /// value goes through [`fmt_f64`], so the file is an exact fixed point of
 /// the server's own codec.
+///
+/// `points` go under `"serve"`, which both gates read. `repeated` goes
+/// under `"repeated_body"`: load points that send one body over and over,
+/// so the server answers them from its response memo. They show what
+/// HTTP handling alone sustains; no gate reads them, and the summary
+/// covers `points` only.
 pub fn render_json(
     calibration: f64,
     host_cores: usize,
     points: &[LoadPoint],
+    repeated: &[LoadPoint],
     warm_vs_cold: WarmVsCold,
     golden_match: bool,
 ) -> String {
@@ -149,33 +205,8 @@ pub fn render_json(
         fmt_f64(calibration)
     ));
     out.push_str(&format!("  \"host_cores\": {host_cores},\n"));
-    out.push_str("  \"serve\": [\n");
-    for (i, pt) in points.iter().enumerate() {
-        let comma = if i + 1 == points.len() { "" } else { "," };
-        let line = Json::obj(vec![
-            ("shards", Json::from(pt.shards as u64)),
-            ("clients", Json::from(pt.clients as u64)),
-            ("requests", Json::from(pt.requests)),
-            ("errors", Json::from(pt.errors)),
-            ("wall_seconds", num(pt.wall_seconds)),
-            ("requests_per_sec", num(pt.requests_per_sec)),
-            ("p50_seconds", num(pt.p50_seconds)),
-            ("p90_seconds", num(pt.p90_seconds)),
-            ("p99_seconds", num(pt.p99_seconds)),
-            ("max_seconds", num(pt.max_seconds)),
-            (
-                "per_shard_requests",
-                Json::Arr(
-                    pt.per_shard_requests
-                        .iter()
-                        .map(|&n| Json::from(n))
-                        .collect(),
-                ),
-            ),
-        ]);
-        out.push_str(&format!("    {line}{comma}\n"));
-    }
-    out.push_str("  ],\n");
+    push_points(&mut out, "serve", points);
+    push_points(&mut out, "repeated_body", repeated);
     let wc = Json::obj(vec![
         ("cold_first_seconds", num(warm_vs_cold.cold_first_seconds)),
         ("warm_median_seconds", num(warm_vs_cold.warm_median_seconds)),
@@ -246,6 +277,7 @@ pub fn parse_doc(text: &str) -> Option<ParsedDoc> {
                 .and_then(Json::as_array)
                 .map(|arr| arr.iter().filter_map(Json::as_u64).collect())
                 .unwrap_or_default(),
+            memo_hits: pt.get("memo_hits").and_then(Json::as_u64).unwrap_or(0),
         });
     }
     Some(ParsedDoc {
@@ -426,6 +458,7 @@ mod tests {
             p99_seconds: 0.004,
             max_seconds: 0.010,
             per_shard_requests: vec![(rps * 2.0) as u64 / shards.max(1) as u64; shards],
+            memo_hits: 0,
         }
     }
 
@@ -438,7 +471,7 @@ mod tests {
     }
 
     fn doc(calib: f64, cores: usize, points: &[LoadPoint], golden: bool) -> String {
-        render_json(calib, cores, points, wc(), golden)
+        render_json(calib, cores, points, &[], wc(), golden)
     }
 
     #[test]
@@ -610,5 +643,32 @@ mod tests {
             check_scaling(&mismatch, 1.5),
             ScalingVerdict::Fail(_)
         ));
+    }
+
+    #[test]
+    fn repeated_body_points_are_recorded_but_never_gated() {
+        let mut gated = [point(1, 8, 1000.0), point(4, 8, 2000.0)];
+        gated[1].memo_hits = 3;
+        // Memo-served points are far faster and scale worse; neither may
+        // leak into the summary, the floor or the scaling verdict.
+        let repeated = [point(1, 8, 50_000.0), point(4, 8, 60_000.0)];
+        let json = render_json(1e8, 4, &gated, &repeated, wc(), true);
+        let parsed = parse_doc(&json).expect("own output must parse");
+        assert_eq!(parsed.points.len(), 2);
+        assert_eq!(parsed.points[1].memo_hits, 3);
+        let v = Json::parse(&json).unwrap();
+        let recorded = v.get("repeated_body").unwrap().as_array().unwrap();
+        assert_eq!(recorded.len(), 2);
+        assert_eq!(
+            recorded[1].get("requests_per_sec").unwrap().as_f64(),
+            Some(60_000.0)
+        );
+        let best = v.get("summary").unwrap().get("best_requests_per_sec");
+        assert_eq!(best.unwrap().as_f64(), Some(2000.0));
+        assert!(matches!(
+            check_scaling(&json, 1.5),
+            ScalingVerdict::Pass { .. }
+        ));
+        assert!(check_throughput_floor(&json, &json, 0.25).is_empty());
     }
 }
