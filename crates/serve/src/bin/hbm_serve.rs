@@ -132,7 +132,8 @@ fn main() {
         Ok(stats) => {
             eprintln!(
                 "drained cleanly: {} requests ({} ok, {} rejected, {} shed, {} client errors, \
-                 {} panics; {} cold / {} warm runs; {} cold / {} warm estimates; \
+                 {} panics; {} cold / {} warm runs ({} memo hits); \
+                 {} cold / {} warm estimates; \
                  {} batches / {} batched; \
                  {} sessions opened / {} closed / {} reaped / {} resumed / {} shed; \
                  {} alerts)",
@@ -144,6 +145,7 @@ fn main() {
                 stats.panics,
                 stats.cold_runs,
                 stats.warm_runs,
+                stats.simulate_memo_hits,
                 stats.estimates_cold,
                 stats.estimates_warm,
                 stats.batches,

@@ -47,6 +47,7 @@
 pub mod alerts;
 pub mod http;
 pub mod json;
+mod memo;
 mod mux;
 pub mod pool;
 pub mod proto;
