@@ -14,6 +14,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Maximum bytes of request/status line + headers.
@@ -99,8 +100,9 @@ pub struct HttpRequest {
 pub struct HttpResponse {
     /// Status code (200, 400, 404, 429, 500, 503).
     pub status: u16,
-    /// Response body bytes.
-    pub body: Vec<u8>,
+    /// Response body bytes, shared so a memoized body is answered without
+    /// a copy.
+    pub body: Arc<Vec<u8>>,
     /// `Content-Type` header value.
     pub content_type: &'static str,
     /// Whether to advertise and honour `Connection: close`.
@@ -113,9 +115,14 @@ pub struct HttpResponse {
 impl HttpResponse {
     /// A JSON response with the given status.
     pub fn json(status: u16, body: impl Into<Vec<u8>>) -> HttpResponse {
+        HttpResponse::shared_json(status, Arc::new(body.into()))
+    }
+
+    /// A JSON response whose body is shared with a memo.
+    pub fn shared_json(status: u16, body: Arc<Vec<u8>>) -> HttpResponse {
         HttpResponse {
             status,
-            body: body.into(),
+            body,
             content_type: "application/json",
             close: false,
             retry_after: None,
